@@ -546,7 +546,6 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     pipeline = scenario.atlas_pipeline(
         shards=args.shards,
         dedup=not args.no_dedup,
-        threaded=args.threaded,
     )
     atlas, rr_atlas = pipeline.bootstrap(
         source,
@@ -668,19 +667,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for user in users:
         for dst in destinations:
             scheduler.submit(user.api_key, dst, source)
-    report = (
-        scheduler.run_threaded()
-        if args.threaded
-        else scheduler.run()
-    )
+    report = scheduler.run()
     doc = report.as_dict()
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(
             f"served {doc['completed']}/{doc['submitted']} requests "
-            f"over {args.parallel} lanes "
-            f"({'threads' if args.threaded else 'virtual clock'})"
+            f"over {args.parallel} lanes (virtual clock)"
         )
         print(
             f"  makespan:   {doc['makespan_virtual_seconds']:.1f} "
@@ -1238,11 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="probe every hop occurrence instead of once per "
             "distinct address",
         )
-        p.add_argument(
-            "--threaded", action="store_true",
-            help="measure traceroutes on a wall-clock thread pool "
-            "instead of deterministic virtual lanes",
-        )
         _atlas_common(p)
 
     atlas_build = atlas_sub.add_parser(
@@ -1279,7 +1268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--parallel", type=int, default=4,
-        help="execution lanes / worker threads",
+        help="execution lanes on the virtual clock",
     )
     serve.add_argument("--users", type=int, default=3)
     serve.add_argument(
@@ -1297,11 +1286,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--retries", type=int, default=0,
         help="retry budget for unresponsive destinations",
-    )
-    serve.add_argument(
-        "--threaded", action="store_true",
-        help="run on a wall-clock thread pool instead of the "
-        "deterministic virtual-clock lanes",
     )
     serve.add_argument("--source-index", type=int, default=0)
     serve.add_argument("--json", action="store_true")

@@ -10,14 +10,11 @@ the same (hop, source) measurements.
 The cache is bounded two ways: entries expire after ``ttl`` (and the
 measurement path sweeps them out via :meth:`maybe_purge`), and an
 optional ``max_entries`` cap evicts least-recently-used entries so a
-long-running service cannot grow the cache without bound.  All
-operations take an internal lock so the scheduler's threaded mode can
-share one cache across engines.
+long-running service cannot grow the cache without bound.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Tuple
 
@@ -91,7 +88,6 @@ class MeasurementCache:
         #: key -> (stored_at, value, effective ttl) — per-entry TTL so
         #: negative results can expire on their own (shorter) schedule.
         self._entries: Dict[Hashable, Tuple[float, Any, float]] = {}
-        self._lock = threading.RLock()
         self._last_purge = clock.now()
 
     def _on_obs_attached(self, instrumentation) -> None:
@@ -127,35 +123,34 @@ class MeasurementCache:
             return None
         outcome = "miss"
         value: Optional[Any] = None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                stored_at, stored, ttl = entry
-                if self.clock.now() - stored_at > ttl:
-                    del self._entries[key]
-                    self.stats.expirations += 1
-                    self.stats.misses += 1
-                    outcome = "expired"
-                else:
-                    if self.max_entries is not None:
-                        # LRU bookkeeping: re-insert so dict order
-                        # tracks recency.  Only paid when a bound is
-                        # configured — the unbounded cache keeps the
-                        # plain-dict fast path.
-                        del self._entries[key]
-                        self._entries[key] = entry
-                    self.stats.hits += 1
-                    outcome = "hit"
-                    value = stored
-            else:
+        entry = self._entries.get(key)
+        if entry is not None:
+            stored_at, stored, ttl = entry
+            if self.clock.now() - stored_at > ttl:
+                del self._entries[key]
+                self.stats.expirations += 1
                 self.stats.misses += 1
+                outcome = "expired"
+            else:
+                if self.max_entries is not None:
+                    # LRU bookkeeping: re-insert so dict order
+                    # tracks recency.  Only paid when a bound is
+                    # configured — the unbounded cache keeps the
+                    # plain-dict fast path.
+                    del self._entries[key]
+                    self._entries[key] = entry
+                self.stats.hits += 1
+                outcome = "hit"
+                value = stored
+        else:
+            self.stats.misses += 1
         if outcome != "miss" and self.obs.enabled:
-            # Flight-recorder entry outside the lock.  Misses are the
-            # overwhelmingly common case and carry no information the
-            # engine's own step events don't — only hits and expiries
-            # (decisions that changed the measurement's course) earn an
-            # event.  The kind label is the first element of tuple keys
-            # ("rr-step", "fwd-trace", ...).
+            # Flight-recorder entry.  Misses are the overwhelmingly
+            # common case and carry no information the engine's own
+            # step events don't — only hits and expiries (decisions that
+            # changed the measurement's course) earn an event.  The kind
+            # label is the first element of tuple keys ("rr-step",
+            # "fwd-trace", ...).
             self.obs.emit_t(
                 "cache.lookup",
                 (
@@ -178,42 +173,38 @@ class MeasurementCache:
             if negative and self.negative_ttl is not None
             else self.ttl
         )
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-            self._entries[key] = (self.clock.now(), value, ttl)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    oldest = next(iter(self._entries))
-                    del self._entries[oldest]
-                    self.stats.evictions += 1
+        if key in self._entries:
+            del self._entries[key]
+        self._entries[key] = (self.clock.now(), value, ttl)
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                oldest = next(iter(self._entries))
+                del self._entries[oldest]
+                self.stats.evictions += 1
 
     def contains_fresh(self, key: Hashable) -> bool:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            return self.clock.now() - entry[0] <= entry[2]
+        entry = self._entries.get(key)
+        if entry is None:
+            return False
+        return self.clock.now() - entry[0] <= entry[2]
 
     def age(self, key: Hashable) -> Optional[float]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            return self.clock.now() - entry[0]
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        return self.clock.now() - entry[0]
 
     def purge_expired(self) -> int:
         """Drop expired entries; returns how many were removed."""
-        with self._lock:
-            now = self.clock.now()
-            expired = [
-                key
-                for key, (stored_at, _, ttl) in self._entries.items()
-                if now - stored_at > ttl
-            ]
-            for key in expired:
-                del self._entries[key]
-            return len(expired)
+        now = self.clock.now()
+        expired = [
+            key
+            for key, (stored_at, _, ttl) in self._entries.items()
+            if now - stored_at > ttl
+        ]
+        for key in expired:
+            del self._entries[key]
+        return len(expired)
 
     def maybe_purge(self) -> int:
         """Sweep expired entries at most once per ``purge_interval``.
@@ -223,16 +214,14 @@ class MeasurementCache:
         maintenance thread; returns the number removed (0 when the
         sweep is skipped).
         """
-        with self._lock:
-            now = self.clock.now()
-            if now - self._last_purge < self.purge_interval:
-                return 0
-            self._last_purge = now
-            return self.purge_expired()
+        now = self.clock.now()
+        if now - self._last_purge < self.purge_interval:
+            return 0
+        self._last_purge = now
+        return self.purge_expired()
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

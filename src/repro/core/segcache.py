@@ -31,13 +31,11 @@ inferred hop).
 
 One cache serves one source and is shared by every engine measuring
 toward that source — the whole point is that concurrent and successive
-measurements amortize each other's probes.  All operations take an
-internal lock so the scheduler's threaded mode can share it too.
+measurements amortize each other's probes.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -135,7 +133,6 @@ class ReverseSegmentCache:
         #: instrumentation sink; rewired via the attach protocol
         self.obs = NULL
         self._entries: Dict[Address, SegmentEntry] = {}
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Observability
@@ -195,26 +192,24 @@ class ReverseSegmentCache:
         assumed_link: Optional[str] = None,
     ) -> None:
         """Remember that *addr* forwards reverse traffic to *next_hop*."""
-        with self._lock:
-            self._entries[addr] = SegmentEntry(
-                next_hop=next_hop,
-                technique=technique,
-                generation=self.internet.routing_generation,
-                stored_at=self.clock.now(),
-                assumed_link=assumed_link,
-            )
-            self.stats.stores += 1
+        self._entries[addr] = SegmentEntry(
+            next_hop=next_hop,
+            technique=technique,
+            generation=self.internet.routing_generation,
+            stored_at=self.clock.now(),
+            assumed_link=assumed_link,
+        )
+        self.stats.stores += 1
 
     def store_negative(self, addr: Address) -> None:
         """Remember that *addr* revealed nothing to the RR arsenal."""
-        with self._lock:
-            self._entries[addr] = SegmentEntry(
-                next_hop=None,
-                technique=None,
-                generation=self.internet.routing_generation,
-                stored_at=self.clock.now(),
-            )
-            self.stats.negative_stores += 1
+        self._entries[addr] = SegmentEntry(
+            next_hop=None,
+            technique=None,
+            generation=self.internet.routing_generation,
+            stored_at=self.clock.now(),
+        )
+        self.stats.negative_stores += 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -227,27 +222,26 @@ class ReverseSegmentCache:
         counted by reason) at lookup time, so one sweep of measurements
         after a routing change scrubs every touched entry.
         """
-        with self._lock:
-            entry = self._entries.get(addr)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.generation != self.internet.routing_generation:
-                del self._entries[addr]
-                self.stats.invalidations_generation += 1
-                self.stats.misses += 1
-                return None
-            ttl = self.negative_ttl if entry.negative else self.ttl
-            if self.clock.now() - entry.stored_at > ttl:
-                del self._entries[addr]
-                self.stats.invalidations_ttl += 1
-                self.stats.misses += 1
-                return None
-            if entry.negative:
-                self.stats.negative_hits += 1
-            else:
-                self.stats.hits += 1
-            return entry
+        entry = self._entries.get(addr)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        if entry.generation != self.internet.routing_generation:
+            del self._entries[addr]
+            self.stats.invalidations_generation += 1
+            self.stats.misses += 1
+            return None
+        ttl = self.negative_ttl if entry.negative else self.ttl
+        if self.clock.now() - entry.stored_at > ttl:
+            del self._entries[addr]
+            self.stats.invalidations_ttl += 1
+            self.stats.misses += 1
+            return None
+        if entry.negative:
+            self.stats.negative_hits += 1
+        else:
+            self.stats.hits += 1
+        return entry
 
     def chain(
         self,
@@ -271,53 +265,50 @@ class ReverseSegmentCache:
         chain: List[SegmentEntry] = []
         seen_here = {addr}
         current = addr
-        # One lock acquisition for the whole walk: chains splice on
-        # the serving hot path, where a per-hop lock round-trip is
-        # measurable.
-        with self._lock:
-            generation = self.internet.routing_generation
-            now = self.clock.now()
-            stats = self.stats
-            entries = self._entries
-            while len(chain) < limit:
-                entry = entries.get(current)
-                if entry is None:
-                    stats.misses += 1
-                    break
-                if entry.generation != generation:
-                    del entries[current]
-                    stats.invalidations_generation += 1
-                    stats.misses += 1
-                    break
-                ttl = (
-                    self.negative_ttl if entry.negative else self.ttl
-                )
-                if now - entry.stored_at > ttl:
-                    del entries[current]
-                    stats.invalidations_ttl += 1
-                    stats.misses += 1
-                    break
-                if entry.negative:
-                    stats.negative_hits += 1
-                    if not chain:
-                        return [], True
-                    break
-                stats.hits += 1
-                nxt = entry.next_hop
-                if nxt in seen_here or (
-                    stop is not None and stop(nxt)
-                ):
-                    break
-                chain.append(entry)
-                seen_here.add(nxt)
-                current = nxt
+        # Read once for the whole walk: chains splice on the serving
+        # hot path.
+        generation = self.internet.routing_generation
+        now = self.clock.now()
+        stats = self.stats
+        entries = self._entries
+        while len(chain) < limit:
+            entry = entries.get(current)
+            if entry is None:
+                stats.misses += 1
+                break
+            if entry.generation != generation:
+                del entries[current]
+                stats.invalidations_generation += 1
+                stats.misses += 1
+                break
+            ttl = (
+                self.negative_ttl if entry.negative else self.ttl
+            )
+            if now - entry.stored_at > ttl:
+                del entries[current]
+                stats.invalidations_ttl += 1
+                stats.misses += 1
+                break
+            if entry.negative:
+                stats.negative_hits += 1
+                if not chain:
+                    return [], True
+                break
+            stats.hits += 1
+            nxt = entry.next_hop
+            if nxt in seen_here or (
+                stop is not None and stop(nxt)
+            ):
+                break
+            chain.append(entry)
+            seen_here.add(nxt)
+            current = nxt
         return chain, False
 
     def note_splice(self, hops: int) -> None:
         """Tally one spliced chain of *hops* hops (engine-reported)."""
-        with self._lock:
-            self.stats.splices += 1
-            self.stats.spliced_hops += hops
+        self.stats.splices += 1
+        self.stats.spliced_hops += hops
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -325,28 +316,26 @@ class ReverseSegmentCache:
 
     def purge_expired(self) -> int:
         """Drop generation-stale and TTL-expired entries."""
-        with self._lock:
-            now = self.clock.now()
-            generation = self.internet.routing_generation
-            dead = []
-            for addr, entry in self._entries.items():
-                if entry.generation != generation:
-                    dead.append((addr, "generation"))
-                    continue
-                ttl = self.negative_ttl if entry.negative else self.ttl
-                if now - entry.stored_at > ttl:
-                    dead.append((addr, "ttl"))
-            for addr, reason in dead:
-                del self._entries[addr]
-                if reason == "generation":
-                    self.stats.invalidations_generation += 1
-                else:
-                    self.stats.invalidations_ttl += 1
-            return len(dead)
+        now = self.clock.now()
+        generation = self.internet.routing_generation
+        dead = []
+        for addr, entry in self._entries.items():
+            if entry.generation != generation:
+                dead.append((addr, "generation"))
+                continue
+            ttl = self.negative_ttl if entry.negative else self.ttl
+            if now - entry.stored_at > ttl:
+                dead.append((addr, "ttl"))
+        for addr, reason in dead:
+            del self._entries[addr]
+            if reason == "generation":
+                self.stats.invalidations_generation += 1
+            else:
+                self.stats.invalidations_ttl += 1
+        return len(dead)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

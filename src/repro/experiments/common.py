@@ -281,7 +281,6 @@ class Scenario:
         self,
         shards: int = 4,
         dedup: bool = True,
-        threaded: bool = False,
     ) -> "AtlasPipeline":
         """An :class:`AtlasPipeline` over the background prober."""
         from repro.core.atlas_pipeline import AtlasPipeline
@@ -292,7 +291,6 @@ class Scenario:
             self.spoofer_addrs,
             shards=shards,
             dedup=dedup,
-            threaded=threaded,
             instrumentation=self.obs,
         )
 

@@ -7,7 +7,6 @@ equivalent with the query surface the examples and tests need.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -33,10 +32,6 @@ class MeasurementStore:
         self._records: List[StoredMeasurement] = []
         self._by_source: Dict[Address, List[int]] = defaultdict(list)
         self._by_user: Dict[str, List[int]] = defaultdict(list)
-        # Appends mutate three structures; the lock keeps the record
-        # list and its indexes consistent under the scheduler's
-        # threaded mode.
-        self._lock = threading.Lock()
 
     def append(
         self,
@@ -51,36 +46,27 @@ class MeasurementStore:
             requested_at=requested_at,
             label=label,
         )
-        with self._lock:
-            index = len(self._records)
-            self._records.append(record)
-            self._by_source[result.src].append(index)
-            self._by_user[user].append(index)
+        index = len(self._records)
+        self._records.append(record)
+        self._by_source[result.src].append(index)
+        self._by_user[user].append(index)
         return record
 
     def by_source(self, source: Address) -> List[StoredMeasurement]:
-        with self._lock:
-            return [
-                self._records[i] for i in self._by_source.get(source, [])
-            ]
+        return [self._records[i] for i in self._by_source.get(source, [])]
 
     def by_user(self, user: str) -> List[StoredMeasurement]:
-        with self._lock:
-            return [
-                self._records[i] for i in self._by_user.get(user, [])
-            ]
+        return [self._records[i] for i in self._by_user.get(user, [])]
 
     def all(self) -> List[StoredMeasurement]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def complete(self) -> List[StoredMeasurement]:
-        with self._lock:
-            return [
-                r
-                for r in self._records
-                if r.result.status is RevtrStatus.COMPLETE
-            ]
+        return [
+            r
+            for r in self._records
+            if r.result.status is RevtrStatus.COMPLETE
+        ]
 
     def completion_rate(self) -> float:
         if not self._records:

@@ -9,20 +9,12 @@ staleness over hours (Fig. 9d) read this clock.
 
 from __future__ import annotations
 
-import threading
-
 
 class VirtualClock:
-    """A monotonically advancing simulated clock, in seconds.
-
-    Advances are guarded by a lock so the request scheduler's threaded
-    mode can share one clock across workers; reads stay lock-free (a
-    float load is atomic under the GIL).
-    """
+    """A monotonically advancing simulated clock, in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._lock = threading.Lock()
 
     def now(self) -> float:
         return self._now
@@ -31,20 +23,18 @@ class VirtualClock:
         """Move time forward; negative advances are rejected."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds}")
-        with self._lock:
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Jump to an absolute time not earlier than now."""
-        with self._lock:
-            if timestamp < self._now:
-                raise ValueError(
-                    f"cannot move clock backwards "
-                    f"({timestamp} < {self._now})"
-                )
-            self._now = timestamp
-            return self._now
+        if timestamp < self._now:
+            raise ValueError(
+                f"cannot move clock backwards "
+                f"({timestamp} < {self._now})"
+            )
+        self._now = timestamp
+        return self._now
 
     def __repr__(self) -> str:
         return f"VirtualClock(t={self._now:.3f}s)"

@@ -501,30 +501,6 @@ class TestLoadOrBuild:
         assert sum(warm_sc.background_counter.counts.values()) == 0
 
 
-class TestThreadedMode:
-    def test_threaded_build_matches_hop_contents(self, sharded_world):
-        _, source, virtual_atlas, virtual_rr, _ = sharded_world
-        threaded_sc = fresh_scenario()
-        pipeline = threaded_sc.atlas_pipeline(shards=4, threaded=True)
-        atlas, rr_atlas = pipeline.bootstrap(
-            source,
-            threaded_sc.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        assert pipeline.reports[0].mode == "threaded"
-        # Hop contents are clock-independent, so they must match the
-        # virtual-mode build even though timestamps interleave.
-        assert {
-            vp: tuple(trace.hops)
-            for vp, trace in atlas.traceroutes.items()
-        } == {
-            vp: tuple(trace.hops)
-            for vp, trace in virtual_atlas.traceroutes.items()
-        }
-        assert rr_atlas._mapping == virtual_rr._mapping
-
-
 class TestPipelineObservability:
     def test_metrics_flow_through_registry(self, tmp_path):
         instr = Instrumentation()

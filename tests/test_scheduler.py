@@ -1,5 +1,5 @@
 """Tests for the request scheduler: admission control, determinism,
-overload behavior, and the threaded execution mode."""
+overload behavior, and multi-user, multi-source accounting."""
 
 import pytest
 
@@ -243,7 +243,7 @@ class TestDeterminism:
         scheduler.run()
 
 
-class TestThreadedMode:
+class TestMultiSourceStress:
     def test_stress_no_lost_records_or_corrupt_counters(
         self, small_scenario
     ):
@@ -271,9 +271,9 @@ class TestThreadedMode:
                     user.api_key, dst, sources[index % 2]
                 )
                 expected += 1
-        report = scheduler.run_threaded(max_workers=6)
-        # Graceful under concurrency: every job reached a terminal
-        # state, nothing raised, nothing was lost.
+        report = scheduler.run()
+        # Graceful across six interleaved lanes: every job reached a
+        # terminal state, nothing raised, nothing was lost.
         assert report.completed == expected
         assert not report.rejected
         assert len(service.store) == expected
@@ -282,34 +282,11 @@ class TestThreadedMode:
             done = len(service.store.by_user(user.name))
             assert done == len(dsts)
             # Quota accounting matches executions exactly (no lost or
-            # double charges despite concurrent workers).
+            # double charges across lanes and sources).
             assert (
                 user.max_per_day - user.remaining_today(now) == done
             )
             assert report.peak_inflight[user.name] <= 2
-
-    def test_threaded_queue_full_rejection(self, small_scenario):
-        service = build_service(small_scenario)
-        owner = service.add_user("t2-owner", max_per_day=100_000)
-        source = small_scenario.sources()[6]
-        service.add_source(owner.api_key, source)
-        user = service.add_user(
-            "t2-user", max_parallel=2, max_per_day=1000
-        )
-        dsts = small_scenario.responsive_destinations(
-            6, options_only=True
-        )
-        scheduler = service.scheduler(
-            SchedulerConfig(parallelism=2, max_queue_per_user=2)
-        )
-        jobs = [
-            scheduler.submit(user.api_key, dst, source) for dst in dsts
-        ]
-        report = scheduler.run_threaded(max_workers=2)
-        assert report.completed == 2
-        assert report.rejected["queue-full"] == 4
-        terminal = {JobState.DONE, JobState.REJECTED}
-        assert all(job.state in terminal for job in jobs)
 
 
 class TestDoomedRetry:
@@ -356,19 +333,4 @@ class TestDoomedRetry:
         doomed = scheduler.submit(user.api_key, dead, source)
         healthy = scheduler.submit(user.api_key, alive, source)
         report = scheduler.run()
-        self._check(report, doomed, healthy)
-
-    def test_threaded_mode(self, sched_service, small_scenario):
-        service, source, _ = sched_service
-        user = service.add_user(
-            "doomed-t", max_parallel=2, max_per_day=1000
-        )
-        dead = unresponsive_destination(small_scenario)
-        alive = small_scenario.responsive_destinations(
-            1, options_only=True
-        )[0]
-        scheduler = service.scheduler(self._config())
-        doomed = scheduler.submit(user.api_key, dead, source)
-        healthy = scheduler.submit(user.api_key, alive, source)
-        report = scheduler.run_threaded(max_workers=2)
         self._check(report, doomed, healthy)
