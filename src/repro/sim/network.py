@@ -19,7 +19,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.addr import Address, Prefix, PrefixTable
 from repro.net.host import Host
-from repro.net.options import RecordRouteOption, TimestampOption
+from repro.net.options import (
+    RECORD_ROUTE_SLOTS,
+    RecordRouteOption,
+    TimestampOption,
+)
 from repro.net.packet import EchoReply, Probe, TracerouteReply
 from repro.net.router import Router
 from repro.obs.runtime import get_default
@@ -160,6 +164,14 @@ class Internet:
         self._ipid_counters: Dict[Address, int] = {}
         self._intra_next: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
         self._intra_dist: Dict[Tuple[int, int], Dict[int, int]] = {}
+        #: (router, next AS) -> (egress candidates, error reason): the
+        #: next hops toward the chosen border link, a pure function of
+        #: ``borders`` and ``intra_adj`` shared by every destination
+        self._egress: Dict[
+            Tuple[int, int], Tuple[Optional[Tuple[int, ...]], str]
+        ] = {}
+        self._egress_hits = 0
+        self._egress_misses = 0
         self._alt_next_as: Dict[Tuple[int, AnnouncementSpec], Optional[int]] = {}
 
         # -- forwarding fast path ---------------------------------------
@@ -740,6 +752,9 @@ class Internet:
         faults = self.faults
         lossy = faults is not None and faults.has_link_loss
         policed = faults is not None and faults.has_router_faults
+        # Transit routers can only stamp a TS option or a non-full RR
+        # option; once neither is left, the stamping call is skipped.
+        stamping = ts is not None or (rr is not None and not rr.is_full())
 
         # The loop body below is the FIB dispatch of :meth:`_next_hop`
         # inlined (plus delivery/TTL handling via the terminal entry
@@ -797,7 +812,8 @@ class Internet:
             if kind == FIB_DST:
                 return True, dst, hops, path, None
             if kind == FIB_LAN:
-                self._transit_stamp(router, ingress_addr, None, rr, ts)
+                if stamping:
+                    self._transit_stamp(router, ingress_addr, None, rr, ts)
                 return True, dst, hops, path, None
 
             if entry.alt is not None and first_visit:
@@ -819,7 +835,10 @@ class Internet:
 
             if lossy and faults.link_drops(current, next_router, probe):
                 return False, None, hops, path, None
-            self._transit_stamp(router, ingress_addr, egress_addr, rr, ts)
+            if stamping:
+                stamping = self._transit_stamp(
+                    router, ingress_addr, egress_addr, rr, ts
+                )
             ingress_addr = next_ingress
             current = next_router
 
@@ -967,22 +986,42 @@ class Internet:
         next_as: int,
         gen: int,
     ) -> FibEntry:
-        """The deterministic egress action toward *next_as*."""
+        """The deterministic egress action toward *next_as*.
+
+        The egress next hops depend only on the AS's border links and
+        intra-AS topology, never on the destination or announcement,
+        so they are memoised per ``(router, next_as)``; only the ECMP
+        hash fold in :meth:`_ecmp_entry` is per destination.
+        """
+        key = (router.router_id, next_as)
+        egress = self._egress.get(key)
+        if egress is None:
+            self._egress_misses += 1
+            egress = self._egress_candidates(router, next_as)
+            self._egress[key] = egress
+        else:
+            self._egress_hits += 1
+        candidates, reason = egress
+        if candidates is None:
+            return FibEntry(FIB_ERROR, reason=reason, generation=gen)
+        return self._ecmp_entry(router, target, candidates, gen)
+
+    def _egress_candidates(
+        self, router: Router, next_as: int
+    ) -> Tuple[Optional[Tuple[int, ...]], str]:
+        """Next hops of *router* toward its egress link to *next_as*,
+        or ``(None, reason)`` when there is no way out."""
         current = router.router_id
         asn = router.asn
         pairs = self.borders.get(asn, {}).get(next_as)
         if not pairs:
-            return FibEntry(
-                FIB_ERROR, reason="no border link to next AS",
-                generation=gen,
-            )
+            return None, "no border link to next AS"
 
         # If we are a border router on one of the candidate links,
         # egress directly (hot potato at zero cost).
-        own_pairs = [p for p in pairs if p[0] == current]
-        if own_pairs:
-            remotes = sorted(p[1] for p in own_pairs)
-            return self._ecmp_entry(router, target, remotes, gen)
+        remotes = sorted(p[1] for p in pairs if p[0] == current)
+        if remotes:
+            return tuple(remotes), ""
 
         # Pick an egress border router.
         if self.graph.nodes[asn].cold_potato:
@@ -994,11 +1033,8 @@ class Internet:
             )[1]
         candidates = self.intra_next_hops(asn, local_border, current)
         if not candidates:
-            return FibEntry(
-                FIB_ERROR, reason="border unreachable intra-AS",
-                generation=gen,
-            )
-        return self._ecmp_entry(router, target, candidates, gen)
+            return None, "border unreachable intra-AS"
+        return tuple(candidates), ""
 
     def _deliver_entry(
         self, current: int, next_router: int, gen: int
@@ -1013,7 +1049,7 @@ class Internet:
         self,
         router: Router,
         target: DestTarget,
-        candidates: List[int],
+        candidates: Sequence[int],
         gen: int,
     ) -> FibEntry:
         """Wrap equal-cost *candidates*, folding deterministic picks.
@@ -1043,15 +1079,23 @@ class Internet:
         egress_addr: Optional[Address],
         rr: Optional[RecordRouteOption],
         ts: Optional[TimestampOption],
-    ) -> None:
-        """Apply in-transit option processing at *router*."""
-        if rr is not None and not rr.is_full():
+    ) -> bool:
+        """Apply in-transit option processing at *router*.
+
+        Returns whether a later router may still stamp: False once
+        there is no TS option and the RR option is full or absent, so
+        the walker stops calling.
+        """
+        slots = rr.slots if rr is not None else None
+        if slots is not None and len(slots) < RECORD_ROUTE_SLOTS:
             stamp = router.rr_stamp_address(ingress_addr, egress_addr)
             if stamp is not None:
-                rr.stamp(stamp)
-        if ts is not None and router.supports_timestamp:
-            owned = router.addresses()
-            ts.stamp_if_match(owned, now=1)
+                slots.append(stamp)
+        if ts is not None:
+            if router.supports_timestamp:
+                ts.stamp_if_match(router.addresses(), now=1)
+            return True
+        return slots is not None and len(slots) < RECORD_ROUTE_SLOTS
 
     def _destination_responds(self, addr: Address, probe: Probe) -> bool:
         host = self.hosts.get(addr)
@@ -1154,6 +1198,7 @@ class Internet:
         """
         self.policy.invalidate()
         self._alt_next_as.clear()
+        self._egress.clear()
         self.routing_generation += 1
         self._fib.clear()
         self._flush_resolution_caches()
@@ -1212,6 +1257,12 @@ class Internet:
                     "hits": table.cache_hits,
                     "misses": table.cache_misses,
                     "entries": table.cached_lookups,
+                },
+                "routes": self.policy.cache_stats(),
+                "egress": {
+                    "hits": self._egress_hits,
+                    "misses": self._egress_misses,
+                    "entries": len(self._egress),
                 },
             },
         }

@@ -121,7 +121,8 @@ class ASGraph:
         self._cones = None
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self.nodes.get(a, ASNode(0, ASTier.STUB)).neighbors
+        node = self.nodes.get(a)
+        return node is not None and b in node.neighbors
 
     def relationship(self, a: int, b: int) -> Optional[Relationship]:
         """Return b's relationship as seen from a, or None."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import heapq
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
@@ -60,9 +60,6 @@ class Origin:
     announce_to: Optional[FrozenSet[int]] = None
     poisoned: FrozenSet[int] = frozenset()
 
-    def announces_to(self, neighbor: int) -> bool:
-        return self.announce_to is None or neighbor in self.announce_to
-
 
 @dataclass(frozen=True)
 class AnnouncementSpec:
@@ -79,6 +76,17 @@ class AnnouncementSpec:
     origins: Tuple[Origin, ...]
     poisoned: FrozenSet[int] = frozenset()
     no_export: FrozenSet[Tuple[int, int]] = frozenset()
+
+    def __post_init__(self) -> None:
+        # A spec keys the route cache, the FIB shards and the alternate
+        # next-AS memo on every probe and FIB miss; hash its (nested,
+        # immutable) fields once instead of on every lookup.
+        object.__setattr__(
+            self, "_hash", hash((self.origins, self.poisoned, self.no_export))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def single(cls, asn: int) -> "AnnouncementSpec":
@@ -107,6 +115,35 @@ class RouteChoice:
         return len(self.path)
 
 
+#: one AS's neighbours split by class: (customers, providers, peers),
+#: each a tuple of (neighbour, the neighbour's tie-break via this AS)
+_ClassSplit = Tuple[
+    Tuple[Tuple[int, int], ...],
+    Tuple[Tuple[int, int], ...],
+    Tuple[Tuple[int, int], ...],
+]
+#: (leaf asn, its neighbour_pref, its (provider, pref) pairs)
+_LeafPrefs = Tuple[int, Dict[int, int], Tuple[Tuple[int, int], ...]]
+
+
+def _rejector(spec: AnnouncementSpec):
+    """``rejects(asn, origin_asn)`` for a poisoned *spec*, else None.
+
+    Poisoning places ASNs on the announced path, so a poisoned AS drops
+    the route by loop detection; most specs poison nothing and skip the
+    check entirely.
+    """
+    poisoned = spec.poisoned
+    origin_poison = {origin.asn: origin.poisoned for origin in spec.origins}
+    if not poisoned and not any(origin_poison.values()):
+        return None
+
+    def rejects(asn: int, origin_asn: int) -> bool:
+        return asn in poisoned or asn in origin_poison.get(origin_asn, ())
+
+    return rejects
+
+
 def _tiebreak(asn: int, via: int, salt: int) -> int:
     """Deterministic, direction-asymmetric neighbour preference."""
     return zlib.crc32(f"{asn}|{via}|{salt}".encode())
@@ -127,6 +164,15 @@ class RoutingPolicy:
     stable igp costs): those ASes pick the same inter-AS link in both
     directions, while the rest diverge — the knob that calibrates the
     AS-level path-symmetry rate to the Internet's measured 53% (§6.2).
+
+    Everything that depends only on the topology is computed once and
+    shared by every announcement: the tie-break of each (AS, neighbour)
+    pair lives as long as the policy (it depends only on ``salt`` and
+    ``symmetric_tiebreak_fraction``), while the class-split adjacency
+    and the leaf-AS provider preferences live for one routing
+    generation — :meth:`invalidate` drops them with the route cache,
+    so relationship or local-preference edits take effect on the next
+    computation.
     """
 
     def __init__(
@@ -139,13 +185,28 @@ class RoutingPolicy:
         self.salt = salt
         self.symmetric_tiebreak_fraction = symmetric_tiebreak_fraction
         self._cache: Dict[AnnouncementSpec, Dict[int, RouteChoice]] = {}
+        #: (asn, via) -> tie-break, for the policy's lifetime
+        self._tiebreaks: Dict[Tuple[int, int], int] = {}
+        #: asn -> (customers, providers, peers), each a tuple of
+        #: (neighbour, the neighbour's tie-break for routes via asn);
+        #: None until the first computation of a routing generation
+        self._adjacency: Optional[Dict[int, _ClassSplit]] = None
+        #: leaf ASes with provider local-preferences, in graph order
+        self._leaves: Optional[List[_LeafPrefs]] = None
+        self._hits = 0
+        self._computes = 0
 
     def _tb(self, asn: int, via: int) -> int:
-        if self.symmetric_tiebreak_fraction > 0.0:
-            roll = zlib.crc32(f"sym|{asn}|{self.salt}".encode())
-            if (roll % 1000) < self.symmetric_tiebreak_fraction * 1000:
-                return _tiebreak_symmetric(asn, via, self.salt)
-        return _tiebreak(asn, via, self.salt)
+        key = (asn, via)
+        tiebreak = self._tiebreaks.get(key)
+        if tiebreak is None:
+            tiebreak = _tiebreak(asn, via, self.salt)
+            if self.symmetric_tiebreak_fraction > 0.0:
+                roll = zlib.crc32(f"sym|{asn}|{self.salt}".encode())
+                if (roll % 1000) < self.symmetric_tiebreak_fraction * 1000:
+                    tiebreak = _tiebreak_symmetric(asn, via, self.salt)
+            self._tiebreaks[key] = tiebreak
+        return tiebreak
 
     # ------------------------------------------------------------------
     # Public API
@@ -157,6 +218,8 @@ class RoutingPolicy:
         if cached is None:
             cached = self._compute(spec)
             self._cache[spec] = cached
+        else:
+            self._hits += 1
         return cached
 
     def route_of(
@@ -181,151 +244,191 @@ class RoutingPolicy:
         return route.origin if route else None
 
     def invalidate(self) -> None:
+        """Start a new routing generation: drop every computed route
+        and the per-generation adjacency and leaf preferences."""
         self._cache.clear()
+        self._adjacency = None
+        self._leaves = None
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Route-cache accounting: cached lookups, computations, specs."""
+        return {
+            "hits": self._hits,
+            "misses": self._computes,
+            "entries": len(self._cache),
+        }
+
+    # ------------------------------------------------------------------
+    # Per-generation topology state
+    # ------------------------------------------------------------------
+
+    def _topology_state(
+        self,
+    ) -> Tuple[Dict[int, _ClassSplit], List[_LeafPrefs]]:
+        """The class-split adjacency and leaf preferences, built on the
+        first computation of a routing generation."""
+        if self._adjacency is None:
+            tb = self._tb
+            adjacency: Dict[int, _ClassSplit] = {}
+            leaves: List[_LeafPrefs] = []
+            for asn, node in self.graph.nodes.items():
+                split: Dict[Relationship, List[Tuple[int, int]]] = {
+                    rel: [] for rel in Relationship
+                }
+                for neighbor, rel in node.neighbors.items():
+                    split[rel].append((neighbor, tb(neighbor, asn)))
+                customers = tuple(split[Relationship.CUSTOMER])
+                adjacency[asn] = (
+                    customers,
+                    tuple(split[Relationship.PROVIDER]),
+                    tuple(split[Relationship.PEER]),
+                )
+                if node.neighbor_pref and not customers:
+                    provider_prefs = tuple(
+                        (neighbor, pref)
+                        for neighbor, pref in node.neighbor_pref.items()
+                        if node.neighbors.get(neighbor)
+                        is Relationship.PROVIDER
+                    )
+                    leaves.append((asn, node.neighbor_pref, provider_prefs))
+            self._adjacency = adjacency
+            self._leaves = leaves
+        return self._adjacency, self._leaves
 
     # ------------------------------------------------------------------
     # Route computation
     # ------------------------------------------------------------------
 
     def _compute(self, spec: AnnouncementSpec) -> Dict[int, RouteChoice]:
-        graph = self.graph
-        poisoned = spec.poisoned
+        self._computes += 1
+        adjacency, leaves = self._topology_state()
         blocked = spec.no_export
-        origin_poison = {
-            origin.asn: origin.poisoned for origin in spec.origins
+        # Announcement points with a restricted export set; the first
+        # Origin of an AS decides, as in a scan of spec.origins.
+        first_origin: Dict[int, Origin] = {}
+        for origin in spec.origins:
+            first_origin.setdefault(origin.asn, origin)
+        limits = {
+            asn: origin.announce_to
+            for asn, origin in first_origin.items()
+            if origin.announce_to is not None
         }
-
-        def may_export(exporter: int, neighbor: int) -> bool:
-            return (exporter, neighbor) not in blocked
-
-        def rejects(asn: int, origin_asn: int) -> bool:
-            return asn in poisoned or asn in origin_poison.get(
-                origin_asn, ()
-            )
-
-        def better(
-            candidate: Tuple[int, int], incumbent: Optional[Tuple[int, int]]
-        ) -> bool:
-            """Compare (path_len, tiebreak) keys; lower wins."""
-            return incumbent is None or candidate < incumbent
+        rejects = _rejector(spec)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
         # Phase 0/1: origin + customer routes, Dijkstra up provider edges.
         best: Dict[int, RouteChoice] = {}
         keys: Dict[int, Tuple[int, int]] = {}
         heap: List[Tuple[int, int, int, Tuple[int, ...], Optional[int], int]] = []
         for origin in spec.origins:
-            if origin.asn not in graph or rejects(origin.asn, origin.asn):
+            asn = origin.asn
+            if asn not in self.graph or (
+                rejects is not None and rejects(asn, asn)
+            ):
                 continue
-            path = (origin.asn,) * (1 + origin.prepend)
-            key = (len(path), self._tb(origin.asn, origin.asn))
-            if better(key, keys.get(origin.asn)):
-                keys[origin.asn] = key
-                best[origin.asn] = RouteChoice(
-                    RouteClass.ORIGIN, path, None, origin.asn
-                )
-                heapq.heappush(
-                    heap,
-                    (key[0], key[1], origin.asn, path, None, origin.asn),
-                )
+            path = (asn,) * (1 + origin.prepend)
+            key = (len(path), self._tb(asn, asn))
+            incumbent_key = keys.get(asn)
+            if incumbent_key is None or key < incumbent_key:
+                keys[asn] = key
+                best[asn] = RouteChoice(RouteClass.ORIGIN, path, None, asn)
+                heappush(heap, (key[0], key[1], asn, path, None, asn))
 
         settled: set = set()
         while heap:
-            length, tiebreak, asn, path, _, origin_asn = heapq.heappop(heap)
+            asn = heappop(heap)[2]
             if asn in settled:
                 continue
             settled.add(asn)
-            node = graph.nodes[asn]
             exporting = best[asn]
-            for provider in node.providers():
-                if rejects(provider, exporting.origin) or provider in settled:
+            origin_asn = exporting.origin
+            limit = limits.get(asn)
+            for provider, tiebreak in adjacency[asn][1]:
+                if provider in settled:
                     continue
-                if not may_export(asn, provider):
+                if rejects is not None and rejects(provider, origin_asn):
                     continue
-                origin_cfg = self._origin_config(spec, asn)
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    provider
-                ):
+                if blocked and (asn, provider) in blocked:
+                    continue
+                if limit is not None and provider not in limit:
                     continue
                 new_path = (provider,) + exporting.path
-                key = (
-                    len(new_path),
-                    self._tb(provider, asn),
-                )
-                if better(key, keys.get(provider)):
+                key = (len(new_path), tiebreak)
+                incumbent_key = keys.get(provider)
+                if incumbent_key is None or key < incumbent_key:
                     keys[provider] = key
                     best[provider] = RouteChoice(
-                        RouteClass.CUSTOMER, new_path, asn, exporting.origin
+                        RouteClass.CUSTOMER, new_path, asn, origin_asn
                     )
-                    heapq.heappush(
+                    heappush(
                         heap,
                         (
                             key[0],
-                            key[1],
+                            tiebreak,
                             provider,
                             new_path,
                             asn,
-                            exporting.origin,
+                            origin_asn,
                         ),
                     )
 
         # Phase 2: peer routes, one hop from customer-class holders.
         customer_holders = dict(best)
         for asn, route in customer_holders.items():
-            node = graph.nodes[asn]
-            origin_cfg = self._origin_config(spec, asn)
-            for peer in node.peers():
-                if rejects(peer, route.origin) or peer in customer_holders:
+            origin_asn = route.origin
+            limit = limits.get(asn)
+            for peer, tiebreak in adjacency[asn][2]:
+                if peer in customer_holders:
                     continue
-                if not may_export(asn, peer):
+                if rejects is not None and rejects(peer, origin_asn):
                     continue
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    peer
-                ):
+                if blocked and (asn, peer) in blocked:
+                    continue
+                if limit is not None and peer not in limit:
                     continue
                 new_path = (peer,) + route.path
-                key = (len(new_path), self._tb(peer, asn))
-                incumbent = best.get(peer)
-                if incumbent is not None and incumbent.route_class <= RouteClass.PEER:
-                    if not better(key, keys.get(peer)):
-                        continue
-                elif incumbent is not None:
-                    pass  # provider-class incumbent always loses to peer
+                key = (len(new_path), tiebreak)
+                # Any incumbent is a peer route from this phase; a
+                # provider-class incumbent would always lose to a peer.
+                incumbent_key = keys.get(peer)
+                if incumbent_key is not None and not key < incumbent_key:
+                    continue
                 keys[peer] = key
                 best[peer] = RouteChoice(
-                    RouteClass.PEER, new_path, asn, route.origin
+                    RouteClass.PEER, new_path, asn, origin_asn
                 )
 
         # Phase 3: provider routes, Dijkstra down customer edges.
-        heap = []
-        for asn, route in best.items():
-            heapq.heappush(
-                heap,
-                (
-                    route.length,
-                    keys[asn][1],
-                    asn,
-                    route.path,
-                    route.next_as,
-                    route.origin,
-                ),
+        heap = [
+            (
+                route.length,
+                keys[asn][1],
+                asn,
+                route.path,
+                route.next_as,
+                route.origin,
             )
+            for asn, route in best.items()
+        ]
+        heapq.heapify(heap)
         settled = set()
         while heap:
-            length, tiebreak, asn, path, _, origin_asn = heapq.heappop(heap)
+            asn = heappop(heap)[2]
             if asn in settled:
                 continue
             settled.add(asn)
             exporting = best[asn]
-            node = graph.nodes[asn]
-            origin_cfg = self._origin_config(spec, asn)
-            for customer in node.customers():
-                if rejects(customer, exporting.origin) or customer in settled:
+            origin_asn = exporting.origin
+            limit = limits.get(asn)
+            for customer, tiebreak in adjacency[asn][0]:
+                if customer in settled:
                     continue
-                if not may_export(asn, customer):
+                if rejects is not None and rejects(customer, origin_asn):
                     continue
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    customer
-                ):
+                if blocked and (asn, customer) in blocked:
+                    continue
+                if limit is not None and customer not in limit:
                     continue
                 incumbent = best.get(customer)
                 if (
@@ -334,32 +437,24 @@ class RoutingPolicy:
                 ):
                     continue
                 new_path = (customer,) + exporting.path
-                key = (len(new_path), self._tb(customer, asn))
-                if incumbent is not None and not better(
-                    key, keys.get(customer)
-                ):
+                key = (len(new_path), tiebreak)
+                if incumbent is not None and not key < keys[customer]:
                     continue
                 keys[customer] = key
                 best[customer] = RouteChoice(
-                    RouteClass.PROVIDER, new_path, asn, exporting.origin
+                    RouteClass.PROVIDER, new_path, asn, origin_asn
                 )
-                heapq.heappush(
+                heappush(
                     heap,
-                    (
-                        key[0],
-                        key[1],
-                        customer,
-                        new_path,
-                        asn,
-                        exporting.origin,
-                    ),
+                    (key[0], tiebreak, customer, new_path, asn, origin_asn),
                 )
 
-        self._apply_leaf_preferences(best)
+        self._apply_leaf_preferences(best, leaves)
         return best
 
+    @staticmethod
     def _apply_leaf_preferences(
-        self, best: Dict[int, RouteChoice]
+        best: Dict[int, RouteChoice], leaves: List[_LeafPrefs]
     ) -> None:
         """Honour per-neighbour local preference for leaf ASes.
 
@@ -369,9 +464,7 @@ class RoutingPolicy:
         re-selected: nobody routes *through* a leaf, so the change
         cannot violate the path-consistency (tree) property.
         """
-        for asn, node in self.graph.nodes.items():
-            if not node.neighbor_pref or node.customers():
-                continue
+        for asn, neighbor_pref, provider_prefs in leaves:
             current = best.get(asn)
             if current is None or current.route_class is not (
                 RouteClass.PROVIDER
@@ -381,19 +474,14 @@ class RoutingPolicy:
                 # provider local-pref only orders provider routes.
                 continue
             candidates = []
-            for neighbor, pref in node.neighbor_pref.items():
-                if (
-                    self.graph.relationship(asn, neighbor)
-                    is not Relationship.PROVIDER
-                ):
-                    continue
+            for neighbor, pref in provider_prefs:
                 route = best.get(neighbor)
                 if route is None or asn in route.path:
                     continue
                 candidates.append((pref, -len(route.path), neighbor))
             if not candidates:
                 continue
-            current_pref = node.neighbor_pref.get(current.next_as, 0)
+            current_pref = neighbor_pref.get(current.next_as, 0)
             pref, _, neighbor = max(candidates)
             if pref <= current_pref:
                 continue
@@ -404,13 +492,3 @@ class RoutingPolicy:
                 neighbor,
                 via.origin,
             )
-
-    @staticmethod
-    def _origin_config(
-        spec: AnnouncementSpec, asn: int
-    ) -> Optional[Origin]:
-        """Return the Origin config if *asn* is an announcement point."""
-        for origin in spec.origins:
-            if origin.asn == asn:
-                return origin
-        return None

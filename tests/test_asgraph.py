@@ -38,6 +38,13 @@ class TestEdges:
         with pytest.raises(ValueError):
             graph.add_edge(1, 1, Relationship.PEER)
 
+    def test_has_edge(self):
+        graph = chain_graph()
+        assert graph.has_edge(1, 2) and graph.has_edge(2, 1)
+        assert not graph.has_edge(1, 3)
+        assert not graph.has_edge(99, 1)
+        assert not graph.has_edge(1, 99)
+
     def test_node_accessors(self):
         graph = chain_graph()
         assert graph.nodes[2].providers() == [1]

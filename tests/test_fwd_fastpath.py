@@ -195,6 +195,8 @@ class TestInvalidation:
         assert flushed["caches"]["resolve"]["entries"] == 0
         assert flushed["caches"]["announcement"]["entries"] == 0
         assert flushed["caches"]["lpm"]["entries"] == 0
+        assert flushed["caches"]["routes"]["entries"] == 0
+        assert flushed["caches"]["egress"]["entries"] == 0
 
         after = internet.ground_truth_router_path(src, host.addr)
         # The cached Internet re-converges to exactly the uncached
@@ -324,12 +326,20 @@ class TestPrefixTableCache:
 
 class TestAccounting:
     def test_stats_shape_and_introspection(self, small_scenario):
-        stats = small_scenario.internet.forwarding_cache_stats()
+        internet = small_scenario.internet
+        internet.ground_truth_router_path(
+            internet.mlab_hosts[0], internet.mlab_hosts[-1]
+        )
+        stats = internet.forwarding_cache_stats()
         assert set(stats["caches"]) == {
-            "fib", "resolve", "announcement", "lpm"
+            "fib", "resolve", "announcement", "lpm", "routes", "egress"
         }
         for cache_stats in stats["caches"].values():
             assert set(cache_stats) == {"hits", "misses", "entries"}
+        # The probe computed at least one route table and egress list.
+        routes = stats["caches"]["routes"]
+        assert routes["misses"] >= routes["entries"] > 0
+        assert stats["caches"]["egress"]["entries"] > 0
         doc = introspect(forwarding=stats)
         assert doc["forwarding_caches"] is stats
 
@@ -352,8 +362,9 @@ class TestAccounting:
             for s in lookup_series
         )
         entries_series = snapshot["sim_fwd_cache_entries"]["series"]
-        assert any(
-            s["labels"] == {"cache": "fib"} and s["value"] > 0
-            for s in entries_series
-        )
+        for cache in ("fib", "routes", "egress"):
+            assert any(
+                s["labels"] == {"cache": cache} and s["value"] > 0
+                for s in entries_series
+            ), cache
         assert snapshot["sim_routing_generation"]["series"]

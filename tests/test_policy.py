@@ -1,8 +1,12 @@
 """Tests for Gao-Rexford route computation, poisoning, and anycast."""
 
+import hashlib
+
 import pytest
 
 from repro.topology.asgraph import ASGraph, ASTier, Relationship
+from repro.topology.config import TopologyConfig
+from repro.topology.generator import build_internet
 from repro.topology.policy import (
     AnnouncementSpec,
     Origin,
@@ -175,3 +179,121 @@ class TestDeterminism:
         for dst in asns[:10]:
             routes = policy.routes(AnnouncementSpec.single(dst))
             assert set(routes) == set(asns), f"unreachable ASes for {dst}"
+
+
+# ----------------------------------------------------------------------
+# Golden route tables
+# ----------------------------------------------------------------------
+
+
+def _route_table_digest(policy, specs):
+    """sha256 over every AS's (class, path, next AS, origin) per spec."""
+    digest = hashlib.sha256()
+    for spec in specs:
+        routes = policy.routes(spec)
+        for asn in sorted(routes):
+            route = routes[asn]
+            digest.update(
+                repr(
+                    (
+                        asn,
+                        int(route.route_class),
+                        route.path,
+                        route.next_as,
+                        route.origin,
+                    )
+                ).encode()
+            )
+        digest.update(b"/")
+    return digest.hexdigest()
+
+
+def _single_origin_specs(graph):
+    return [AnnouncementSpec.single(asn) for asn in sorted(graph.asns())]
+
+
+def _te_specs(graph):
+    """A fixed traffic-engineering spec set drawn from the graph."""
+    multihomed = sorted(
+        asn
+        for asn, node in graph.nodes.items()
+        if not node.customers() and len(node.providers()) >= 2
+    )
+    stub, other = multihomed[0], multihomed[-1]
+    providers = sorted(graph.nodes[stub].providers())
+    other_provider = sorted(graph.nodes[other].providers())[0]
+    asns = sorted(graph.asns())
+    return [
+        AnnouncementSpec.anycast([stub, other, asns[len(asns) // 2]]),
+        AnnouncementSpec(origins=(Origin(stub, prepend=2), Origin(other))),
+        AnnouncementSpec(
+            origins=(Origin(stub),), poisoned=frozenset({providers[0]})
+        ),
+        AnnouncementSpec(
+            origins=(
+                Origin(stub, poisoned=frozenset({providers[0]})),
+                Origin(other, poisoned=frozenset({other_provider})),
+            )
+        ),
+        AnnouncementSpec(
+            origins=(Origin(stub),),
+            no_export=frozenset({(stub, providers[0])}),
+        ),
+        AnnouncementSpec(
+            origins=(Origin(stub, announce_to=frozenset({providers[-1]})),)
+        ),
+        AnnouncementSpec(
+            origins=(
+                Origin(stub, prepend=1, announce_to=frozenset({providers[0]})),
+                Origin(other),
+            ),
+            poisoned=frozenset({other_provider}),
+            no_export=frozenset({(providers[0], asns[0])}),
+        ),
+    ]
+
+
+#: digests pinned from the reference route computation; any change to
+#: route selection, tie-breaking or leaf preferences shows up here
+GOLDEN_SINGLE_ORIGIN = {
+    ("tiny", 5): (
+        "1934a79f6143fe9ec1eb0dd748a3f55d9e4b45c8fa2679380c76cf81314ce245"
+    ),
+    ("tiny", 7): (
+        "9271c16382247d0105965b49680c62ff4f4e83c0ebdd8d827bf1ef0e5b90640f"
+    ),
+    ("tiny", 11): (
+        "9da5095fd5a0019dc1fc9b772f6107c6e6d8d1062fddb887fa40a40b38c9990e"
+    ),
+    ("small", 7): (
+        "ef3a790ab1871cedc8be154a0b554e73a3d029235cfe3cade00f3c3796e1ac1b"
+    ),
+}
+GOLDEN_TE = {
+    ("tiny", 11): (
+        "64a43da3f1cb7af14ea01dc834bc50f9aa4e6d459839b22ef04e87069acbd3c6"
+    ),
+    ("small", 7): (
+        "2628c31fe790d53c3e8c54f182519a0e3a1c978e009422a0bc20ebba530d4400"
+    ),
+}
+
+
+def _golden_policy(scale, seed):
+    return build_internet(getattr(TopologyConfig, scale)(seed=seed)).policy
+
+
+class TestGoldenRouteTables:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SINGLE_ORIGIN))
+    def test_single_origin_tables(self, key):
+        policy = _golden_policy(*key)
+        specs = _single_origin_specs(policy.graph)
+        assert _route_table_digest(policy, specs) == (
+            GOLDEN_SINGLE_ORIGIN[key]
+        )
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_TE))
+    def test_traffic_engineering_tables(self, key):
+        policy = _golden_policy(*key)
+        specs = _te_specs(policy.graph)
+        assert _route_table_digest(policy, specs) == GOLDEN_TE[key]
