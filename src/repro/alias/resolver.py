@@ -33,15 +33,16 @@ class AliasResolver:
         self.itdk = dict(itdk or {})
         self.use_point_to_point = use_point_to_point
         self._extra: Dict[Address, int] = {}
-        next_group = -1
+        #: next id for an extra group; monotone, so a group never
+        #: reuses an earlier group's id
+        self._next_group = -1
         for group in extra_groups or []:
-            for addr in group:
-                self._extra[addr] = next_group
-            next_group -= 1
+            self.add_group(group)
 
     def add_group(self, group: Set[Address]) -> None:
         """Merge a freshly measured alias set (e.g. from live MIDAR)."""
-        group_id = -(len(self._extra) + 1_000_000)
+        group_id = self._next_group
+        self._next_group -= 1
         for addr in group:
             self._extra[addr] = group_id
 

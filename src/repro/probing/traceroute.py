@@ -5,6 +5,8 @@ balancers see one consistent path (Augustin et al., used by the paper
 to keep the traceroute atlas free of false links). The probe at each
 TTL is charged to the traceroute budget and the walk advances the
 virtual clock by the per-hop RTTs plus a small pacing overhead.
+Because the flow is fixed, one forward walk answers every TTL
+(:class:`~repro.sim.network.TtlWalk`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.addr import Address
-from repro.net.packet import Probe, ProbeKind, TracerouteResult
+from repro.net.packet import ProbeKind, TracerouteResult
 from repro.probing.prober import LOSS_TIMEOUT, Prober
 
 #: Inter-probe pacing charged per TTL step.
@@ -35,7 +37,7 @@ def paris_traceroute(
     per TTL (None for an unresponsive hop) and, when the destination
     answered, ends with the destination address itself.
     """
-    internet = prober.internet
+    walk = prober.internet.ttl_walk(src, dst, flow_id)
     result = TracerouteResult(
         src=src, dst=dst, flow_id=flow_id, timestamp=prober.clock.now()
     )
@@ -43,8 +45,7 @@ def paris_traceroute(
     for ttl in range(1, max_ttl + 1):
         prober.counter.record(ProbeKind.TRACEROUTE)
         prober._bucket(src).acquire(1)
-        probe = Probe(src=src, dst=dst, ttl=ttl, flow_id=flow_id)
-        outcome = internet.send_probe(probe)
+        outcome = walk.send(ttl)
         prober.clock.advance(_PACING)
         if outcome.te_reply is not None:
             reply = outcome.te_reply

@@ -35,7 +35,6 @@ from repro.sim.forwarding import (
     FIB_LAN,
     DestTarget,
     FibEntry,
-    ForwardingError,
     choose_candidate,
 )
 from repro.topology.asgraph import ASGraph
@@ -570,6 +569,16 @@ class Internet:
                 )
         return outcome
 
+    def ttl_walk(
+        self, src: Address, dst: Address, flow_id: int = 0
+    ) -> "TtlWalk":
+        """A walker answering every TTL of one Paris traceroute flow.
+
+        See :class:`TtlWalk`; it lives for one traceroute, during which
+        routing cannot change.
+        """
+        return TtlWalk(self, src, dst, flow_id)
+
     def _send_probe(
         self,
         probe: Probe,
@@ -577,22 +586,40 @@ class Internet:
             Tuple[Optional[DestTarget], Optional[AnnouncementSpec]]
         ] = None,
     ) -> ProbeOutcome:
-        outcome = ProbeOutcome()
-        faults = self.faults
+        reason, start, target, spec = self._admit(probe, context)
+        if reason is not None:
+            return ProbeOutcome(drop_reason=reason)
+        return self._forward(probe, start, target, spec)
+
+    def _admit(
+        self,
+        probe: Probe,
+        context: Optional[
+            Tuple[Optional[DestTarget], Optional[AnnouncementSpec]]
+        ] = None,
+    ) -> Tuple[
+        Optional[str], int, Optional[DestTarget], Optional[AnnouncementSpec]
+    ]:
+        """Admission half of a send: may *probe* enter the network?
+
+        Checks the injection point, the spoofing filter and the
+        injection-time faults, then resolves the destination and its
+        announcement.  Returns ``(drop_reason, start_router, target,
+        spec)``; the last three are meaningful only when
+        ``drop_reason`` is ``None``.
+        """
         origin_host = self.hosts.get(probe.injected_at)
         if origin_host is None:
-            outcome.drop_reason = "unknown-injection-point"
-            return outcome
+            return "unknown-injection-point", 0, None, None
         if probe.is_spoofed and not self.graph.nodes[
             origin_host.asn
         ].allows_spoofing:
-            outcome.drop_reason = "spoof-filtered"
-            return outcome
+            return "spoof-filtered", 0, None, None
+        faults = self.faults
         if faults is not None:
             reason = faults.pre_send(probe)
             if reason is not None:
-                outcome.drop_reason = reason
-                return outcome
+                return reason, 0, None, None
 
         if context is not None:
             target, spec = context
@@ -600,16 +627,26 @@ class Internet:
             target = self.resolve(probe.dst)
             spec = self.announcement_for(probe.dst)
         if target is None:
-            outcome.drop_reason = "unreachable-destination"
-            return outcome
+            return "unreachable-destination", 0, None, None
         if spec is None:
-            outcome.drop_reason = "no-announcement"
-            return outcome
+            return "no-announcement", 0, None, None
+        return None, origin_host.edge_router_id, target, spec
 
+    def _forward(
+        self,
+        probe: Probe,
+        start_router: int,
+        target: DestTarget,
+        spec: AnnouncementSpec,
+    ) -> ProbeOutcome:
+        """Forward half of a send: the walk, the destination's checks,
+        the reply walk and the IP-ID of an admitted *probe*."""
+        outcome = ProbeOutcome()
+        faults = self.faults
         rr = probe.record_route
         ts = probe.timestamp
         delivered, responder_addr, hop_count, path, te = self._walk(
-            start_router=origin_host.edge_router_id,
+            start_router=start_router,
             target=target,
             spec=spec,
             probe=probe,
@@ -733,10 +770,13 @@ class Internet:
         rr: Optional[RecordRouteOption],
         ts: Optional[TimestampOption],
         ttl: Optional[int],
+        draw_loss: bool = True,
     ) -> Tuple[bool, Optional[Address], int, List[int], Optional[TracerouteReply]]:
         """Walk from *start_router* toward *target*.
 
         Returns (delivered, responder_addr, hops, router_path, te_reply).
+        ``draw_loss=False`` skips the link-loss draws; :class:`TtlWalk`
+        uses it to record a flow's path and replays the draws per TTL.
         """
         current = start_router
         ingress_addr: Optional[Address] = None
@@ -750,17 +790,17 @@ class Internet:
         routers = self.routers
         crc32 = zlib.crc32
         faults = self.faults
-        lossy = faults is not None and faults.has_link_loss
+        lossy = draw_loss and faults is not None and faults.has_link_loss
         policed = faults is not None and faults.has_router_faults
         # Transit routers can only stamp a TS option or a non-full RR
         # option; once neither is left, the stamping call is skipped.
         stamping = ts is not None or (rr is not None and not rr.is_full())
 
-        # The loop body below is the FIB dispatch of :meth:`_next_hop`
-        # inlined (plus delivery/TTL handling via the terminal entry
-        # kinds): at tens of thousands of hops per measurement stream,
-        # the per-hop function call and adjacency lookups it saves are
-        # a measurable slice of campaign runtime.
+        # The loop body below is the simulator's one FIB dispatch, used
+        # by every probe and by TtlWalk, with delivery/TTL handling via
+        # the terminal entry kinds.  It is inlined: at tens of thousands
+        # of hops per measurement stream, a per-hop function call and
+        # adjacency lookups would be a measurable slice of runtime.
         while hops < MAX_HOPS:
             router = routers[current]
             first_visit = current not in visited
@@ -819,6 +859,9 @@ class Internet:
             if entry.alt is not None and first_visit:
                 # AS-level DBR violation: the router hashes the packet
                 # source to deviate toward the alternate next AS (§E).
+                # Only on a first visit: two deviating routers could
+                # otherwise bounce a packet between their ASes forever;
+                # the best route is loop-free by the tree property.
                 if crc32(f"{probe.src}|{router.asn}".encode()) & 1:
                     entry = entry.alt
                     kind = entry.kind
@@ -843,42 +886,6 @@ class Internet:
             current = next_router
 
         return False, None, hops, path, None
-
-    def _next_hop(
-        self,
-        router: Router,
-        target: DestTarget,
-        spec: AnnouncementSpec,
-        probe: Probe,
-        first_visit: bool = True,
-    ) -> Optional[int]:
-        """One forwarding decision; raises ForwardingError on dead ends.
-
-        Reference implementation of a single hop, kept for tests and
-        exploratory use; :meth:`_walk` inlines the same FIB dispatch on
-        the hot path.  The deterministic part of the decision comes
-        from :meth:`_compute_fib_entry`; the packet- and flow-dependent
-        parts (:func:`choose_candidate` and the DBR-violator source
-        hash) are applied on top, so cached and uncached forwarding
-        are bit-identical.
-
-        ``first_visit`` guards the AS-level DBR-violation deviation:
-        two deviating routers can otherwise bounce a packet between
-        their ASes forever; on a re-visit the router falls back to its
-        best route, which is loop-free by the tree property.
-        """
-        entry = self._compute_fib_entry(router, target, spec)
-        if entry.alt is not None and first_visit:
-            if zlib.crc32(f"{probe.src}|{router.asn}".encode()) & 1:
-                entry = entry.alt
-        kind = entry.kind
-        if kind == FIB_DELIVER:
-            return entry.candidates[0]
-        if kind == FIB_ECMP:
-            return choose_candidate(router, entry.candidates, probe)
-        if kind in (FIB_DST, FIB_LAN):
-            return None
-        raise ForwardingError(entry.reason)
 
     def _compute_fib_entry(
         self, router: Router, target: DestTarget, spec: AnnouncementSpec
@@ -1266,3 +1273,113 @@ class Internet:
                 },
             },
         }
+
+
+class TtlWalk:
+    """Every TTL of one Paris traceroute flow from a single forward walk.
+
+    ``send(ttl)`` returns what ``Internet.send_probe(Probe(src, dst,
+    ttl=ttl, flow_id=flow_id))`` would and leaves the same simulator
+    and fault-injector state, as long as routing does not change
+    between sends — true within one
+    :func:`~repro.probing.traceroute.paris_traceroute` call, the
+    walker's whole lifetime.  Forwarding is a pure function of
+    ``(src, dst, flow, router)`` and never reads the TTL, so every TTL
+    of the flow follows the path of one TTL-less walk.  The walker
+    records that path at the first admitted TTL and answers each TTL
+    within it from the recorded routers, replaying the per-probe fault
+    hooks — injection faults, the loss draws over the links before the
+    expiring hop, ICMP policing at that hop — in the order a fresh walk
+    would hit them.  A TTL past the path (delivery or a dead end) runs
+    the full forward half, so echo RTT, reply walk, IP-ID and drop
+    reason come out unchanged.  Each send is tallied like
+    :meth:`Internet.send_probe`.
+    """
+
+    __slots__ = ("_net", "_probe", "_admitted", "_path", "_dst_last")
+
+    def __init__(
+        self, internet: Internet, src: Address, dst: Address, flow_id: int
+    ) -> None:
+        self._net = internet
+        self._probe = Probe(src=src, dst=dst, flow_id=flow_id)
+        #: (start router, target, spec) once a TTL has been admitted
+        self._admitted: Optional[
+            Tuple[int, DestTarget, AnnouncementSpec]
+        ] = None
+        self._path: List[int] = []
+        #: the path ends at the router owning ``dst`` (a ``FIB_DST``
+        #: hop, which answers for ``dst`` itself)
+        self._dst_last = False
+
+    def send(self, ttl: int) -> ProbeOutcome:
+        """The outcome of the flow's probe with *ttl*."""
+        net = self._net
+        probe = self._probe
+        probe.ttl = ttl
+        faults = net.faults
+        if self._admitted is None:
+            reason, start, target, spec = net._admit(probe)
+            if reason is not None:
+                return net._tally_outcome(ProbeOutcome(drop_reason=reason))
+            self._admitted = (start, target, spec)
+            delivered, _, _, path, _ = net._walk(
+                start_router=start,
+                target=target,
+                spec=spec,
+                probe=probe,
+                rr=None,
+                ts=None,
+                ttl=None,
+                draw_loss=False,
+            )
+            self._path = path
+            self._dst_last = delivered and net.routers[path[-1]].owns(
+                probe.dst
+            )
+        elif faults is not None:
+            # The flow's static checks passed at its first admission;
+            # only the clock-dependent injection faults vary per TTL.
+            reason = faults.pre_send(probe)
+            if reason is not None:
+                return net._tally_outcome(ProbeOutcome(drop_reason=reason))
+
+        path = self._path
+        if not 0 < ttl <= len(path):
+            return net._tally_outcome(net._forward(probe, *self._admitted))
+        if faults is not None and faults.has_link_loss:
+            for hops in range(1, ttl):
+                if faults.link_drops(path[hops - 1], path[hops], probe):
+                    return net._tally_outcome(
+                        ProbeOutcome(
+                            forward_router_path=path[:hops],
+                            drop_reason=faults.consume_reason()
+                            or "forward-path-drop",
+                        )
+                    )
+        current = path[ttl - 1]
+        rtt = 2 * ttl * (net.config.link_latency_ms / 1000.0)
+        if ttl == len(path) and self._dst_last:
+            te = TracerouteReply(
+                ttl=ttl, hop_addr=probe.dst, rtt=rtt, reached=True
+            )
+        else:
+            ingress = (
+                net.adjacency[path[ttl - 2]][current][1] if ttl > 1 else None
+            )
+            reply_addr = net.routers[current].traceroute_reply_address(
+                ingress
+            )
+            if (
+                reply_addr is not None
+                and faults is not None
+                and faults.has_router_faults
+                and faults.te_suppressed(current)
+            ):
+                reply_addr = None
+            te = TracerouteReply(
+                ttl=ttl, hop_addr=reply_addr, rtt=rtt, reached=False
+            )
+        return net._tally_outcome(
+            ProbeOutcome(te_reply=te, forward_router_path=path[:ttl])
+        )

@@ -135,6 +135,23 @@ class TestResolver:
         resolver = AliasResolver(extra_groups=[{"5.5.5.5", "6.6.6.6"}])
         assert resolver.same_router("5.5.5.5", "6.6.6.6")
 
+    def test_readding_a_known_address_keeps_groups_apart(self):
+        # Re-adding a known address does not grow the address map; the
+        # next group must still get a fresh id.
+        resolver = AliasResolver()
+        resolver.add_group({"1.1.1.1", "2.2.2.2"})
+        resolver.add_group({"1.1.1.1"})
+        resolver.add_group({"3.3.3.3"})
+        assert not resolver.same_router("1.1.1.1", "3.3.3.3")
+        assert not resolver.same_router("2.2.2.2", "3.3.3.3")
+
+    def test_added_groups_stay_apart_from_init_groups(self):
+        resolver = AliasResolver(extra_groups=[{"5.5.5.5"}, {"6.6.6.6"}])
+        resolver.add_group({"7.7.7.7"})
+        assert resolver.group_of("5.5.5.5") != resolver.group_of("6.6.6.6")
+        assert not resolver.same_router("7.7.7.7", "5.5.5.5")
+        assert not resolver.same_router("7.7.7.7", "6.6.6.6")
+
     def test_matches_any(self):
         resolver = AliasResolver()
         assert resolver.matches_any("1.0.0.1", ["7.7.7.7", "1.0.0.2"])
