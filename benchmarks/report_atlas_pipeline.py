@@ -1,31 +1,31 @@
-"""Benchmark: the atlas pipeline vs. the serial atlas build.
+"""Benchmark: the atlas pipeline vs. the lazy scenario build.
 
 Builds the per-source traceroute atlas (Q1) and RR atlas (Q2) for one
 M-Lab source three ways over identically seeded scenarios:
 
-* **serial** — the historical one-probe-at-a-time build with no
-  deduplication;
-* **sharded** — the atlas pipeline: batched probing, per-build hop
-  dedup, and N-shard virtual-lane accounting;
+* **lazy** — the scenario's own on-demand build
+  (``Scenario.bundle`` + ``Scenario.rr_atlas``), paying every probe on
+  one virtual clock;
+* **sharded** — the atlas pipeline: the same probes, with each unit's
+  virtual cost re-scheduled on N shard lanes;
 * **warm** — snapshot save/load instead of re-probing.
 
-Forwarding outcomes are pure functions of each probe, so all build
-modes must produce byte-identical atlases *and* byte-identical
-downstream reverse traceroutes; this script verifies both, then
-reports the deterministic virtual-clock speedup of the sharded
-schedule and the wall-clock speedup of the warm start.
+Both cold builds send the same probes in the same order, so all three
+must produce byte-identical atlases *and* byte-identical downstream
+reverse traceroutes; this script verifies both, then reports the
+deterministic virtual-clock speedup of the sharded schedule and the
+wall-clock speedup of the warm start.
 
 Checks (exit 1 on failure):
 
-* traceroute atlas and RR mapping identical across serial, serial
-  dedup'd, sharded, and snapshot-loaded builds;
+* traceroute atlas and RR mapping identical across the lazy, sharded
+  and snapshot-loaded builds;
 * reverse traceroute results over a fixed measurement stream identical
-  between the serial-build and sharded-build (and warm-started)
-  deployments;
+  between the lazy-built, sharded-built and warm-started deployments;
 * sharded virtual-clock speedup >= ``--min-speedup`` (default 3x);
 * warm-start wall-clock speedup >= ``--min-warm-speedup`` (default
-  10x) over the serial cold build;
-* dedup saves probes (``probes_deduped > 0``).
+  10x) over the lazy cold build;
+* per-build hop dedup saves probes (``probes_deduped > 0``).
 
 All quantities written to ``benchmarks/reports/BENCH_atlas.json`` are
 virtual-clock or probe-count readings and therefore byte-identical
@@ -58,7 +58,6 @@ from repro.core.atlas_pipeline import (  # noqa: E402
     load_snapshot,
     save_snapshot,
 )
-from repro.core.rr_atlas import RRAtlas  # noqa: E402
 from repro.experiments import Scenario  # noqa: E402
 from repro.topology import TopologyConfig  # noqa: E402
 
@@ -96,29 +95,16 @@ def measure_stream(scenario: Scenario, source, destinations):
     return stream
 
 
-def build_serial(scale: str, atlas_size: int, dedup: bool):
-    """The pre-pipeline build path on a fresh scenario."""
+def build_lazy(scale: str, atlas_size: int):
+    """The scenario's on-demand build path on a fresh scenario."""
     scenario = fresh_scenario(scale, atlas_size)
     source = scenario.sources()[0]
     virtual_start = scenario.clock.now()
     wall_start = time.perf_counter()
-    atlas = TracerouteAtlas(source, max_size=atlas_size)
-    atlas.build(
-        scenario.background_prober,
-        scenario.atlas_vp_addrs,
-        scenario.bundle_rng(source),
-        size=atlas_size,
-    )
-    rr_atlas = RRAtlas(atlas)
-    rr_atlas.build(
-        scenario.background_prober,
-        scenario.spoofer_addrs,
-        dedup=dedup,
-        batched=False,
-    )
+    atlas = scenario.bundle(source).atlas
+    rr_atlas = scenario.rr_atlas(source)
     wall = time.perf_counter() - wall_start
     virtual = scenario.clock.now() - virtual_start
-    scenario.adopt_atlases(source, atlas, rr_atlas)
     return scenario, source, atlas, rr_atlas, wall, virtual
 
 
@@ -126,7 +112,7 @@ def build_sharded(scale: str, atlas_size: int, shards: int):
     """The pipeline build path on a fresh scenario."""
     scenario = fresh_scenario(scale, atlas_size)
     source = scenario.sources()[0]
-    pipeline = scenario.atlas_pipeline(shards=shards, dedup=True)
+    pipeline = scenario.atlas_pipeline(shards=shards)
     virtual_start = scenario.clock.now()
     wall_start = time.perf_counter()
     atlas, rr_atlas = pipeline.bootstrap(
@@ -158,13 +144,14 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=3.0,
-        help="required sharded virtual-clock speedup over serial",
+        help="required sharded virtual-clock speedup over one lane",
     )
     parser.add_argument(
         "--min-warm-speedup",
         type=float,
         default=10.0,
-        help="required warm-start wall-clock speedup over cold serial",
+        help="required warm-start wall-clock speedup over a lazy "
+        "cold build",
     )
     args = parser.parse_args(argv)
     failures = []
@@ -176,17 +163,14 @@ def main(argv=None) -> int:
     )
 
     # -- cold builds ---------------------------------------------------
-    serial = build_serial(args.scale, args.atlas_size, dedup=False)
-    (sc_serial, source, atlas_serial, rr_serial,
-     wall_serial, virtual_serial) = serial
+    lazy = build_lazy(args.scale, args.atlas_size)
+    (sc_lazy, source, atlas_lazy, rr_lazy, wall_lazy, virtual_lazy) = lazy
     print(
-        f"  serial:  {len(atlas_serial)} traceroutes, "
-        f"{len(rr_serial)} aliases, {rr_serial.probes_sent} RR probes, "
-        f"{virtual_serial:8.2f} vs, {wall_serial:6.3f} s wall"
+        f"  lazy:    {len(atlas_lazy)} traceroutes, "
+        f"{len(rr_lazy)} aliases, {rr_lazy.probes_sent} RR probes "
+        f"(+{rr_lazy.probes_deduped} deduped), "
+        f"{virtual_lazy:8.2f} vs, {wall_lazy:6.3f} s wall"
     )
-
-    dedup = build_serial(args.scale, args.atlas_size, dedup=True)
-    (_, _, atlas_dedup, rr_dedup, _, virtual_dedup) = dedup
 
     sharded = build_sharded(args.scale, args.atlas_size, args.shards)
     (sc_sharded, _, atlas_sharded, rr_sharded, pipeline,
@@ -211,18 +195,12 @@ def main(argv=None) -> int:
     )
 
     # -- byte-identity across build modes ------------------------------
-    for label, atlas, rr_atlas in (
-        ("serial-dedup", atlas_dedup, rr_dedup),
-        ("sharded", atlas_sharded, rr_sharded),
-    ):
-        if atlas_key(atlas) != atlas_key(atlas_serial):
-            failures.append(
-                f"{label} traceroute atlas differs from serial build"
-            )
-        if rr_atlas._mapping != rr_serial._mapping:
-            failures.append(
-                f"{label} RR mapping differs from serial build"
-            )
+    if atlas_key(atlas_sharded) != atlas_key(atlas_lazy):
+        failures.append("sharded traceroute atlas differs from lazy build")
+    if rr_sharded._mapping != rr_lazy._mapping:
+        failures.append("sharded RR mapping differs from lazy build")
+    if rr_sharded.probes_sent != rr_lazy.probes_sent:
+        failures.append("sharded RR probe count differs from lazy build")
     if deduped <= 0:
         failures.append("dedup saved no probes")
     if virtual_speedup < args.min_speedup:
@@ -232,23 +210,23 @@ def main(argv=None) -> int:
         )
 
     # -- downstream identity over a fixed measurement stream -----------
-    destinations = sc_serial.responsive_destinations(
+    destinations = sc_lazy.responsive_destinations(
         args.measurements, options_only=True
     )
-    stream_serial = measure_stream(sc_serial, source, destinations)
+    stream_lazy = measure_stream(sc_lazy, source, destinations)
     stream_sharded = measure_stream(sc_sharded, source, destinations)
-    if stream_serial != stream_sharded:
+    if stream_lazy != stream_sharded:
         failures.append(
-            "reverse traceroutes diverge between serial- and "
+            "reverse traceroutes diverge between lazy- and "
             "sharded-built deployments"
         )
     complete = sum(
-        1 for _, status, _ in stream_serial if status == "complete"
+        1 for _, status, _ in stream_lazy if status == "complete"
     )
     print(
-        f"  identity stream: {len(stream_serial)} revtrs, "
-        f"{complete} complete, sharded == serial: "
-        f"{stream_serial == stream_sharded}"
+        f"  identity stream: {len(stream_lazy)} revtrs, "
+        f"{complete} complete, sharded == lazy: "
+        f"{stream_lazy == stream_sharded}"
     )
 
     # -- warm start ----------------------------------------------------
@@ -265,18 +243,18 @@ def main(argv=None) -> int:
         )
         wall_warm = time.perf_counter() - wall_start
     sc_warm.adopt_atlases(source, atlas_warm, rr_warm)
-    warm_speedup = wall_serial / wall_warm if wall_warm else 0.0
+    warm_speedup = wall_lazy / wall_warm if wall_warm else 0.0
     print(
         f"  warm:    {snap_bytes} byte snapshot loaded in "
         f"{wall_warm:6.4f} s wall ({warm_speedup:.1f}x over cold "
-        f"serial, 0 probes)"
+        f"lazy build, 0 probes)"
     )
-    if atlas_key(atlas_warm) != atlas_key(atlas_serial):
+    if atlas_key(atlas_warm) != atlas_key(atlas_lazy):
         failures.append("warm-started traceroute atlas differs")
-    if rr_warm is None or rr_warm._mapping != rr_serial._mapping:
+    if rr_warm is None or rr_warm._mapping != rr_lazy._mapping:
         failures.append("warm-started RR mapping differs")
     stream_warm = measure_stream(sc_warm, source, destinations)
-    if stream_warm != stream_serial:
+    if stream_warm != stream_lazy:
         failures.append(
             "reverse traceroutes diverge on the warm-started deployment"
         )
@@ -293,16 +271,12 @@ def main(argv=None) -> int:
         "atlas_size": args.atlas_size,
         "shards": args.shards,
         "source": source,
-        "serial": {
-            "traceroutes": len(atlas_serial),
-            "rr_aliases": len(rr_serial),
-            "rr_probes_sent": rr_serial.probes_sent,
-            "virtual_seconds": round(virtual_serial, 6),
-        },
-        "serial_dedup": {
-            "rr_probes_sent": rr_dedup.probes_sent,
-            "rr_probes_deduped": rr_dedup.probes_deduped,
-            "virtual_seconds": round(virtual_dedup, 6),
+        "lazy": {
+            "traceroutes": len(atlas_lazy),
+            "rr_aliases": len(rr_lazy),
+            "rr_probes_sent": rr_lazy.probes_sent,
+            "rr_probes_deduped": rr_lazy.probes_deduped,
+            "virtual_seconds": round(virtual_lazy, 6),
         },
         "sharded": {
             "stages": stages,
@@ -319,19 +293,19 @@ def main(argv=None) -> int:
         },
         "identity": {
             "atlas_identical": atlas_key(atlas_sharded)
-            == atlas_key(atlas_serial),
+            == atlas_key(atlas_lazy),
             "rr_mapping_identical": rr_sharded._mapping
-            == rr_serial._mapping,
+            == rr_lazy._mapping,
             "warm_identical": atlas_key(atlas_warm)
-            == atlas_key(atlas_serial),
-            "measurements": len(stream_serial),
-            "measurements_identical": stream_serial == stream_sharded
-            and stream_serial == stream_warm,
+            == atlas_key(atlas_lazy),
+            "measurements": len(stream_lazy),
+            "measurements_identical": stream_lazy == stream_sharded
+            and stream_lazy == stream_warm,
         },
         "wall_seconds": {
             "_comment": "machine-dependent; everything above is "
             "deterministic",
-            "serial_cold_build": round(wall_serial, 4),
+            "lazy_cold_build": round(wall_lazy, 4),
             "sharded_cold_build": round(wall_sharded, 4),
             "warm_start_load": round(wall_warm, 4),
             "warm_start_speedup": round(warm_speedup, 1),

@@ -9,7 +9,7 @@ not answer SNMPv3 are — like reality — simply unknown.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.net.addr import Address
 from repro.probing.prober import Prober
@@ -26,9 +26,6 @@ class SnmpResolver:
         if addr not in self._cache:
             self._cache[addr] = self.prober.snmpv3_probe(addr)
         return self._cache[addr]
-
-    def is_responsive(self, addr: Address) -> bool:
-        return self.engine_id(addr) is not None
 
     def same_router(self, a: Address, b: Address) -> Optional[bool]:
         """True/False when both respond; None when evidence is missing."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.topology.asgraph import ASGraph, ASTier, Relationship
+from repro.topology.asgraph import ASGraph, Relationship
 
 
 class ASRelationships:
@@ -35,12 +35,6 @@ class ASRelationships:
         if asn not in self.graph:
             return 1
         return self.graph.cone_size(asn)
-
-    def is_tier1(self, asn: int) -> bool:
-        return (
-            asn in self.graph
-            and self.graph.nodes[asn].tier is ASTier.TIER1
-        )
 
     def is_small(self, asn: int) -> bool:
         """The paper's "small AS": few providers, tiny customer cone."""

@@ -21,7 +21,7 @@ Commands:
   a JSONL export incl. rotated ``.gz`` segments, ``--follow`` to
   poll a live file, ``--json`` for raw records);
 * ``atlas`` — the offline atlas pipeline: ``build`` both atlases for
-  a source over shard lanes with probe dedup, ``save`` a versioned
+  a source over shard lanes, ``save`` a versioned
   snapshot, ``load`` to warm-start (optionally running measurements
   off the loaded atlases);
 * ``serve`` — demo the request scheduler: several users with
@@ -71,15 +71,12 @@ def _scenario(
         "evaluation": TopologyConfig.evaluation,
         "large": TopologyConfig.large,
     }[args.scale](seed=args.seed)
-    scenario = Scenario(
+    return Scenario(
         config=config,
         seed=args.seed,
         atlas_size=args.atlas_size,
         instrumentation=instrumentation,
     )
-    if getattr(args, "no_fastpath", False):
-        scenario.internet.enable_fastpath(False)
-    return scenario
 
 
 def _write_metrics(instr: Instrumentation, path: Optional[str]) -> None:
@@ -543,10 +540,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
     # build / save: cold-build through the pipeline, optionally
     # snapshotting the result for later warm starts.
-    pipeline = scenario.atlas_pipeline(
-        shards=args.shards,
-        dedup=not args.no_dedup,
-    )
+    pipeline = scenario.atlas_pipeline(shards=args.shards)
     atlas, rr_atlas = pipeline.bootstrap(
         source,
         scenario.bundle_rng(source),
@@ -560,7 +554,6 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     doc = {
         "source": source,
         "shards": args.shards,
-        "dedup": not args.no_dedup,
         "traceroutes": len(atlas),
         "rr_aliases": len(rr_atlas),
         "stages": [report.as_dict() for report in pipeline.reports],
@@ -572,8 +565,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         print(
             f"atlas pipeline for {source}: {len(atlas)} traceroutes, "
             f"{len(rr_atlas)} RR aliases "
-            f"({args.shards} shards, dedup "
-            f"{'off' if args.no_dedup else 'on'})"
+            f"({args.shards} shards)"
         )
         for report in pipeline.reports:
             print(
@@ -1025,12 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="small",
     )
     parser.add_argument("--atlas-size", type=int, default=20)
-    parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the forwarding fast-path caches (FIB, resolve, "
-        "LPM); useful for timing comparisons and debugging",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1226,11 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--shards", type=int, default=4,
             help="shard lanes for the parallel build",
-        )
-        p.add_argument(
-            "--no-dedup", action="store_true",
-            help="probe every hop occurrence instead of once per "
-            "distinct address",
         )
         _atlas_common(p)
 

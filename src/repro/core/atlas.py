@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.addr import Address
 from repro.net.packet import TracerouteResult
@@ -287,9 +287,6 @@ class TracerouteAtlas:
     def all_hops(self) -> List[Address]:
         """Every distinct responsive hop address in the atlas."""
         return list(self._index)
-
-    def hop_positions(self, addr: Address) -> List[Tuple[Address, int]]:
-        return list(self._index.get(addr, []))
 
     def __len__(self) -> int:
         return len(self.traceroutes)

@@ -4,19 +4,16 @@ Revtr 2.0's entire offline budget goes into the per-source traceroute
 atlas (Q1) and RR atlas (Q2); the paper amortises that cost across
 millions of reverse traceroutes, and this repo re-pays it on every
 experiment.  The pipeline makes construction a first-class citizen
-with four legs:
+with three legs:
 
-* **sharded build** — probe ladders flow through the batched prober
-  (`Prober.rr_ping_batch` / `Internet.send_probe_batch`) and each
-  unit's virtual-clock cost is assigned to the earliest-free of N
-  shard lanes.  Forwarding outcomes are pure functions of each packet
-  (see :func:`repro.sim.forwarding.choose_candidate`), so the sharded
-  build is *byte-identical* to the serial one; the lane makespan is
-  the deterministic virtual-clock cost an N-shard deployment would
-  pay, the same re-simulation device as the request scheduler's lanes.
-* **probe dedup** — a hop address appearing in many VPs' traceroutes
-  is RR-probed once per build (``RRAtlas.build(dedup=True)``); the
-  savings are tallied separately from probes sent.
+* **sharded build** — each unit's virtual-clock cost (one traceroute,
+  or one RR probe ladder) is assigned to the earliest-free of N shard
+  lanes.  Probes are still sent one at a time in a fixed order, so the
+  sharded build is *byte-identical* to the plain ``Scenario`` build;
+  the lane makespan is the deterministic virtual-clock cost an N-shard
+  deployment would pay, the same re-simulation device as the request
+  scheduler's lanes.  ``RRAtlas.build`` probes each distinct hop
+  address once per build and tallies the saved probes separately.
 * **incremental refresh** — atlas entries are keyed by the simulator's
   routing generation, so ``refresh(incremental=True)`` re-probes only
   traceroutes whose paths could have changed (generation bump or
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -141,14 +137,13 @@ class StageReport:
 
 
 class AtlasPipeline:
-    """Drives sharded, deduplicated, resumable atlas construction.
+    """Drives sharded, resumable atlas construction.
 
     One pipeline serves one prober (and therefore one simulated
     Internet); it can build atlases for any number of sources.  Every
-    stage is deterministic and byte-identical to the plain serial
-    ``TracerouteAtlas.build`` / ``RRAtlas.build`` path — sharding is
-    accounted on virtual lanes, batching and dedup only remove
-    redundant work.
+    stage runs the plain ``TracerouteAtlas.build`` / ``RRAtlas.build``
+    and only re-schedules the measured costs on virtual shard lanes,
+    so its atlases are byte-identical to a lazy ``Scenario`` build.
     """
 
     def __init__(
@@ -157,7 +152,6 @@ class AtlasPipeline:
         atlas_vps: Sequence[Address],
         spoofer_vps: Sequence[Address],
         shards: int = 4,
-        dedup: bool = True,
         max_spoofers_per_hop: int = 2,
         instrumentation=None,
     ) -> None:
@@ -167,7 +161,6 @@ class AtlasPipeline:
         self.atlas_vps = list(atlas_vps)
         self.spoofer_vps = list(spoofer_vps)
         self.shards = shards
-        self.dedup = dedup
         self.max_spoofers_per_hop = max_spoofers_per_hop
         self.obs = (
             instrumentation
@@ -267,16 +260,9 @@ class AtlasPipeline:
     # -- RR atlas stage -------------------------------------------------
 
     def build_rr(self, rr_atlas: RRAtlas) -> StageReport:
-        """Probe every atlas hop with RR toward the source (Q2).
-
-        Always batched; dedup follows the pipeline setting.
-        """
+        """Probe every atlas hop with RR toward the source (Q2)."""
         rr_atlas.build(
-            self.prober,
-            self.spoofer_vps,
-            self.max_spoofers_per_hop,
-            dedup=self.dedup,
-            batched=True,
+            self.prober, self.spoofer_vps, self.max_spoofers_per_hop
         )
         stats = rr_atlas.last_build
         return self._finish_stage(
@@ -333,66 +319,6 @@ class AtlasPipeline:
         rr_atlas = RRAtlas(atlas)
         self.build_rr(rr_atlas)
         return atlas, rr_atlas
-
-    def load_or_build(
-        self,
-        path: str,
-        source: Address,
-        rng: random.Random,
-        size: Optional[int] = None,
-        max_size: Optional[int] = None,
-        staleness: float = DEFAULT_STALENESS,
-        save: bool = True,
-    ) -> Tuple[TracerouteAtlas, RRAtlas, bool]:
-        """Warm-start from *path* if compatible, else cold-build.
-
-        Returns ``(atlas, rr_atlas, warm)``; a cold build is saved back
-        to *path* (unless ``save=False``) so the next run warm-starts.
-        """
-        internet = self.prober.internet
-        if os.path.exists(path):
-            try:
-                atlas, rr_atlas = load_snapshot(
-                    path, internet, instrumentation=self.obs
-                )
-            except SnapshotError:
-                pass
-            else:
-                if (
-                    atlas.source == source
-                    and rr_atlas is not None
-                ):
-                    if self.obs.enabled:
-                        self.obs.inc(
-                            "atlas_snapshots_total",
-                            op="warm_start",
-                            outcome="hit",
-                        )
-                        self.obs.emit(
-                            "atlas.snapshot",
-                            op="warm_start",
-                            outcome="hit",
-                            path=path,
-                        )
-                    return atlas, rr_atlas, True
-        if self.obs.enabled:
-            self.obs.inc(
-                "atlas_snapshots_total", op="warm_start", outcome="miss"
-            )
-            self.obs.emit(
-                "atlas.snapshot",
-                op="warm_start",
-                outcome="miss",
-                path=path,
-            )
-        atlas, rr_atlas = self.bootstrap(
-            source, rng, size=size, max_size=max_size, staleness=staleness
-        )
-        if save:
-            save_snapshot(
-                path, atlas, rr_atlas, internet, instrumentation=self.obs
-            )
-        return atlas, rr_atlas, False
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.net.addr import Address, same_slash30, same_slash31, slash30_peer
 from repro.core.atlas import Intersection, TracerouteAtlas
 from repro.obs.instrument import NULL
-from repro.probing.budget import ProbeCounter
 from repro.probing.prober import LOSS_TIMEOUT, Prober, RRPingResult
 
 
@@ -28,10 +27,9 @@ class RRBuildStats:
 
     A *unit* is one probe ladder — direct RR ping from the source,
     then up to ``max_spoofers_per_hop`` spoofed retries — for one
-    target address.  With dedup on there is one unit per distinct hop
-    address; without, one per hop occurrence.  ``unit_costs`` holds
-    each unit's virtual-clock cost in probing order, which is what the
-    pipeline's shard lanes re-schedule.
+    distinct hop address.  ``unit_costs`` holds each unit's
+    virtual-clock cost in target order, which is what the pipeline's
+    shard lanes re-schedule.
     """
 
     occurrences: int = 0
@@ -73,25 +71,17 @@ class RRAtlas:
         prober: Prober,
         spoofer_vps: Sequence[Address],
         max_spoofers_per_hop: int = 2,
-        *,
-        dedup: bool = True,
-        batched: bool = True,
     ) -> None:
-        """Probe every atlas hop with RR toward the source.
+        """Probe every distinct atlas hop with RR toward the source.
 
         Tries a direct RR ping from the source first; if the hop is out
         of range, retries spoofed as the source from a few VPs (Fig. 3's
-        "from s or spoofing as s").
-
-        ``dedup`` probes each distinct hop address once per build even
-        when it occurs in many VPs' traceroutes (the saved probes are
-        tallied in :attr:`probes_deduped`); ``batched`` drives whole
-        retry rounds through :meth:`Prober.rr_ping_batch` instead of
-        one :meth:`Prober.rr_ping` at a time.  Forwarding outcomes are
-        pure functions of each probe, so every combination produces an
-        identical ``_mapping``; dedup additionally reduces probes sent
-        (and therefore virtual probing time), batching only wall-clock
-        time.
+        "from s or spoofing as s").  The ladder runs in retry rounds:
+        every target directly from the source, then the still-unusable
+        remainder spoofed from each spoofer in turn.  A hop address
+        occurring in many VPs' traceroutes is probed once per build;
+        the probes its repeats would have cost are tallied in
+        :attr:`probes_deduped`.
         """
         source = self.atlas.source
         occurrences: List[
@@ -102,113 +92,49 @@ class RRAtlas:
                 if hop is None or hop == source:
                     continue
                 occurrences.append((vp, index, hop, trace.hops))
+        targets = list(dict.fromkeys(occ[2] for occ in occurrences))
         spoofers = list(spoofer_vps[:max_spoofers_per_hop])
-        if dedup:
-            targets = list(
-                dict.fromkeys(occ[2] for occ in occurrences)
-            )
-        else:
-            targets = [occ[2] for occ in occurrences]
-        probe = (
-            self._probe_ladders_batched
-            if batched
-            else self._probe_ladders_serial
-        )
-        ladders = probe(prober, source, targets, spoofers)
 
-        stats = RRBuildStats(occurrences=len(occurrences))
-        stats.units = len(ladders)
-        for _, probes, cost in ladders:
-            stats.probes_sent += probes
-            stats.unit_costs.append(cost)
-        if dedup:
-            by_hop = {
-                hop: ladder for hop, ladder in zip(targets, ladders)
-            }
-            seen: set = set()
-            for _, _, hop, _ in occurrences:
-                if hop in seen:
-                    stats.probes_deduped += by_hop[hop][1]
-                else:
-                    seen.add(hop)
-            results = [by_hop[occ[2]][0] for occ in occurrences]
-        else:
-            results = [ladder[0] for ladder in ladders]
-        self.probes_sent += stats.probes_sent
-        self.probes_deduped += stats.probes_deduped
-        self.last_build = stats
-
-        for (vp, index, hop, trace_hops), result in zip(
-            occurrences, results
-        ):
-            if result is not None and self._usable(result):
-                self._register(result, vp, index, trace_hops)
-
-    def _probe_ladders_serial(
-        self,
-        prober: Prober,
-        source: Address,
-        targets: Sequence[Address],
-        spoofers: Sequence[Address],
-    ) -> List[Tuple[Optional[RRPingResult], int, float]]:
-        """One full retry ladder at a time (the historical loop)."""
-        ladders = []
-        for hop in targets:
-            result = prober.rr_ping(source, hop)
-            probes = 1
-            cost = result.rtt if result.responded else LOSS_TIMEOUT
-            if not self._usable(result):
-                for spoofer in spoofers:
-                    result = prober.rr_ping(
-                        spoofer, hop, spoof_as=source
-                    )
-                    probes += 1
-                    cost += (
-                        result.rtt if result.responded else LOSS_TIMEOUT
-                    )
-                    if self._usable(result):
-                        break
-            ladders.append((result, probes, cost))
-        return ladders
-
-    def _probe_ladders_batched(
-        self,
-        prober: Prober,
-        source: Address,
-        targets: Sequence[Address],
-        spoofers: Sequence[Address],
-    ) -> List[Tuple[Optional[RRPingResult], int, float]]:
-        """Retry rounds through the batch walker.
-
-        Round 0 probes every target directly from the source; round
-        ``k`` retries the still-unusable remainder spoofed as the
-        source from the k-th spoofer — the same ladder each target
-        climbs serially, probed a round at a time so destination
-        resolution is shared and the Python-level per-probe overhead
-        amortised.
-        """
-        states: List[List] = [[None, 0, 0.0] for _ in targets]
+        # Per target: [last result, probes sent, virtual cost].
+        ladders: List[List] = [[None, 0, 0.0] for _ in targets]
         pending = list(range(len(targets)))
-        for vp in [None] + list(spoofers):
+        for vp in [None] + spoofers:
             if not pending:
                 break
             if vp is None:
                 items = [(source, targets[i], None) for i in pending]
             else:
                 items = [(vp, targets[i], source) for i in pending]
-            results = prober.rr_ping_batch(items)
             still = []
-            for i, result in zip(pending, results):
-                state = states[i]
-                state[0] = result
-                state[1] += 1
-                state[2] += (
+            for i, result in zip(pending, prober.rr_ping_batch(items)):
+                ladder = ladders[i]
+                ladder[0] = result
+                ladder[1] += 1
+                ladder[2] += (
                     result.rtt if result.responded else LOSS_TIMEOUT
                 )
                 if not self._usable(result):
                     still.append(i)
             pending = still
-        return [tuple(state) for state in states]
+
+        stats = RRBuildStats(occurrences=len(occurrences))
+        stats.units = len(ladders)
+        for _, probes, cost in ladders:
+            stats.probes_sent += probes
+            stats.unit_costs.append(cost)
+        by_hop = dict(zip(targets, ladders))
+        stats.probes_deduped = (
+            sum(by_hop[occ[2]][1] for occ in occurrences)
+            - stats.probes_sent
+        )
+        self.probes_sent += stats.probes_sent
+        self.probes_deduped += stats.probes_deduped
+        self.last_build = stats
+
+        for vp, index, hop, trace_hops in occurrences:
+            result = by_hop[hop][0]
+            if self._usable(result):
+                self._register(result, vp, index, trace_hops)
 
     @staticmethod
     def _usable(result: RRPingResult) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.alias.itdk import build_itdk_dataset
 from repro.alias.resolver import AliasResolver
@@ -28,7 +28,6 @@ from repro.core.adjacency import AdjacencyDatabase
 from repro.core.atlas import TracerouteAtlas
 from repro.core.cache import MeasurementCache
 from repro.core.ingress import (
-    GlobalOrderSelector,
     IngressDirectory,
     IngressSelector,
     SetCoverSelector,
@@ -277,11 +276,7 @@ class Scenario:
             bundle.rr_atlas = rr_atlas
         return bundle.rr_atlas
 
-    def atlas_pipeline(
-        self,
-        shards: int = 4,
-        dedup: bool = True,
-    ) -> "AtlasPipeline":
+    def atlas_pipeline(self, shards: int = 4) -> "AtlasPipeline":
         """An :class:`AtlasPipeline` over the background prober."""
         from repro.core.atlas_pipeline import AtlasPipeline
 
@@ -290,7 +285,6 @@ class Scenario:
             self.atlas_vp_addrs,
             self.spoofer_addrs,
             shards=shards,
-            dedup=dedup,
             instrumentation=self.obs,
         )
 
@@ -357,9 +351,6 @@ class Scenario:
         return SetCoverSelector(
             self.internet, self.vp_ranges(), self.spoofer_addrs
         )
-
-    def global_selector(self) -> GlobalOrderSelector:
-        return GlobalOrderSelector(self.vp_ranges(), self.spoofer_addrs)
 
     def engine_config(self, variant: str) -> EngineConfig:
         if variant == "revtr1.0":

@@ -117,10 +117,6 @@ class Prefix:
         """Return True if *addr* falls within this prefix."""
         return (addr_to_int(addr) & self.mask()) == self.network
 
-    def contains_int(self, value: int) -> bool:
-        """Integer-valued variant of :meth:`contains`."""
-        return (value & self.mask()) == self.network
-
     @property
     def num_addresses(self) -> int:
         return 1 << (32 - self.length)

@@ -252,10 +252,6 @@ class EventLog:
         local.mid = mid
         return previous
 
-    @property
-    def current_measurement(self) -> Optional[str]:
-        return self._local.mid
-
     # -- the hot path ---------------------------------------------------
 
     def emit(

@@ -216,8 +216,8 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
     ),
     "atlas_snapshots_total": (
         "counter",
-        "Atlas snapshot operations, by op (save/load/warm_start) "
-        "and outcome (ok/hit/miss/mismatch/error).",
+        "Atlas snapshot operations, by op (save/load) "
+        "and outcome (ok/mismatch/error).",
         None,
     ),
     "atlas_refresh_traceroutes_total": (

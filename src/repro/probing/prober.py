@@ -180,6 +180,42 @@ class Prober:
         self.clock.advance(outcome.echo.rtt)
         return outcome.echo
 
+    def _rr_probe(
+        self, vp: Address, dst: Address, spoof_as: Optional[Address]
+    ) -> Tuple[Probe, RRPingResult]:
+        """The record-route probe for ``(vp, dst, spoof_as)`` and its
+        not-yet-answered result, charged to *vp*."""
+        spoofed = spoof_as is not None and spoof_as != vp
+        kind = (
+            ProbeKind.SPOOFED_RECORD_ROUTE
+            if spoofed
+            else ProbeKind.RECORD_ROUTE
+        )
+        self._charge(vp, kind)
+        probe = Probe(
+            src=spoof_as if spoofed else vp,
+            dst=dst,
+            kind=kind,
+            injected_at=vp,
+            record_route=RecordRouteOption(),
+        )
+        result = RRPingResult(
+            dst=dst,
+            vp=vp,
+            spoofed_as=spoof_as if spoofed else None,
+            responded=False,
+        )
+        return probe, result
+
+    @staticmethod
+    def _answer(result: RRPingResult, outcome) -> RRPingResult:
+        """Fill *result* from the probe's echo reply, if one came."""
+        if outcome.echo is not None:
+            result.responded = True
+            result.slots = list(outcome.echo.rr_slots)
+            result.rtt = outcome.echo.rtt
+        return result
+
     def rr_ping(
         self,
         vp: Address,
@@ -193,31 +229,8 @@ class Prober:
         within :meth:`spoofed_rr_batch` for correct batch timing, or
         pass ``advance_clock=False`` and manage time at the call site.
         """
-        spoofed = spoof_as is not None and spoof_as != vp
-        kind = (
-            ProbeKind.SPOOFED_RECORD_ROUTE
-            if spoofed
-            else ProbeKind.RECORD_ROUTE
-        )
-        self._charge(vp, kind)
-        src = spoof_as if spoofed else vp
-        probe = Probe(
-            src=src,
-            dst=dst,
-            kind=kind,
-            injected_at=vp,
-            record_route=RecordRouteOption(),
-        )
-        outcome = self.internet.send_probe(probe)
-        result = RRPingResult(
-            dst=dst,
-            vp=vp,
-            spoofed_as=spoof_as if spoofed else None,
-            responded=outcome.echo is not None,
-        )
-        if outcome.echo is not None:
-            result.slots = list(outcome.echo.rr_slots)
-            result.rtt = outcome.echo.rtt
+        probe, result = self._rr_probe(vp, dst, spoof_as)
+        self._answer(result, self.internet.send_probe(probe))
         if advance_clock:
             self.clock.advance(
                 result.rtt if result.responded else LOSS_TIMEOUT
@@ -228,55 +241,15 @@ class Prober:
         self,
         items: Sequence[Tuple[Address, Address, Optional[Address]]],
     ) -> List[RRPingResult]:
-        """Record-route pings over the batch walker, loop-identical.
+        """One :meth:`rr_ping` per ``(vp, dst, spoof_as)`` item, in order.
 
-        *items* is a sequence of ``(vp, dst, spoof_as)`` triples
-        (``spoof_as=None`` for direct probes).  The probes are walked
-        through :meth:`Internet.send_probe_batch` — destination
-        resolution and announcement lookup are shared per distinct
-        destination — and then charged and clock-advanced per probe in
-        item order.  Because forwarding outcomes are pure functions of
-        each packet and walks never read the clock, the results, the
-        rate-limiter token dynamics, and the final virtual-clock
-        reading are all byte-identical to an equivalent loop of
-        :meth:`rr_ping` calls; only wall-clock time shrinks.
+        ``spoof_as=None`` marks a direct probe.  Each probe is charged,
+        walked and clock-advanced before the next one, so fault windows
+        and token-bucket waits see the same clock readings as any other
+        loop of :meth:`rr_ping` calls.  The batch emits one
+        ``probe.batch`` event instead of per-probe events.
         """
-        probes = []
-        metas = []
-        for vp, dst, spoof_as in items:
-            spoofed = spoof_as is not None and spoof_as != vp
-            kind = (
-                ProbeKind.SPOOFED_RECORD_ROUTE
-                if spoofed
-                else ProbeKind.RECORD_ROUTE
-            )
-            probes.append(
-                Probe(
-                    src=spoof_as if spoofed else vp,
-                    dst=dst,
-                    kind=kind,
-                    injected_at=vp,
-                    record_route=RecordRouteOption(),
-                )
-            )
-            metas.append((vp, dst, spoof_as if spoofed else None, kind))
-        outcomes = self.internet.send_probe_batch(probes)
-        results = []
-        for (vp, dst, spoofed_as, kind), outcome in zip(metas, outcomes):
-            self._charge(vp, kind)
-            result = RRPingResult(
-                dst=dst,
-                vp=vp,
-                spoofed_as=spoofed_as,
-                responded=outcome.echo is not None,
-            )
-            if outcome.echo is not None:
-                result.slots = list(outcome.echo.rr_slots)
-                result.rtt = outcome.echo.rtt
-            self.clock.advance(
-                result.rtt if result.responded else LOSS_TIMEOUT
-            )
-            results.append(result)
+        results = [self.rr_ping(*item) for item in items]
         if self.obs.enabled:
             # Batch-level only: per-probe events would dominate the
             # atlas pipeline's emit budget for no diagnostic gain.
@@ -306,39 +279,14 @@ class Prober:
         handed to :meth:`Internet.send_probe_batch`, which resolves the
         destination once and reuses it across the whole VP fleet.
         """
-        probes = []
-        metas = []
-        for vp in vps:
-            spoofed = spoof_as is not None and spoof_as != vp
-            kind = (
-                ProbeKind.SPOOFED_RECORD_ROUTE
-                if spoofed
-                else ProbeKind.RECORD_ROUTE
-            )
-            self._charge(vp, kind)
-            probes.append(
-                Probe(
-                    src=spoof_as if spoofed else vp,
-                    dst=dst,
-                    kind=kind,
-                    injected_at=vp,
-                    record_route=RecordRouteOption(),
-                )
-            )
-            metas.append((vp, spoof_as if spoofed else None))
-        outcomes = self.internet.send_probe_batch(probes)
-        results = []
-        for (vp, spoofed_as), outcome in zip(metas, outcomes):
-            result = RRPingResult(
-                dst=dst,
-                vp=vp,
-                spoofed_as=spoofed_as,
-                responded=outcome.echo is not None,
-            )
-            if outcome.echo is not None:
-                result.slots = list(outcome.echo.rr_slots)
-                result.rtt = outcome.echo.rtt
-            results.append(result)
+        pairs = [self._rr_probe(vp, dst, spoof_as) for vp in vps]
+        outcomes = self.internet.send_probe_batch(
+            [probe for probe, _ in pairs]
+        )
+        results = [
+            self._answer(result, outcome)
+            for (_, result), outcome in zip(pairs, outcomes)
+        ]
         self.clock.advance(SPOOF_BATCH_TIMEOUT)
         if self.health is not None:
             for result in results:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.result import ReverseTracerouteResult, RevtrStatus
@@ -220,15 +220,6 @@ class RequestScheduler:
         queue.append(job)
         self._queue_depth_changed()
         return job
-
-    def submit_batch(
-        self,
-        api_key: str,
-        dsts,
-        src: Address,
-        label: str = "",
-    ) -> List[Job]:
-        return [self.submit(api_key, dst, src, label) for dst in dsts]
 
     # ------------------------------------------------------------------
     # Bookkeeping

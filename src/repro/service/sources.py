@@ -10,8 +10,8 @@ this takes about 15 minutes, dominated by the RIPE Atlas traceroutes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.core.atlas import TracerouteAtlas
 from repro.core.rr_atlas import RRAtlas
@@ -68,9 +68,6 @@ class SourceRegistry:
         self.sources: Dict[Address, RegisteredSource] = {}
         #: callables invoked with the address after every (re-)register
         self._listeners: List = []
-
-    def is_registered(self, addr: Address) -> bool:
-        return addr in self.sources
 
     def subscribe(self, listener) -> None:
         """Call *listener(addr)* whenever a source is (re-)registered.

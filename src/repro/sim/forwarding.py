@@ -12,8 +12,8 @@ are auditable in one place:
   RR/TS probes can take other paths than plain packets across the same
   load balancer — the observation in Appendix E.  The option-packet key
   is a pure function of the packet and the router, never of probing
-  history, so any schedule of probes (serial, batched, deduplicated,
-  sharded) sees identical outcomes for identical packets;
+  history, so identical packets take identical paths whatever was
+  probed before them;
 * a destination-based-routing violator hashes the packet's source
   address: the same destination gets different next hops for different
   sources, which is exactly the violation Appendix E quantifies.
@@ -147,9 +147,9 @@ def choose_candidate(
 
     Every branch is a deterministic hash of (packet, router) fields:
     forwarding is a pure function of the packet, with no hidden state
-    shared between probes.  That property is what lets the batched
-    prober, the RR-atlas probe deduplicator, and snapshot warm starts
-    guarantee byte-identical outcomes to serial probing.
+    shared between probes.  That property is what lets the RR-atlas
+    probe deduplicator and snapshot warm starts reuse one probe's
+    outcome for every occurrence of the same packet.
     """
     if len(candidates) == 1:
         return candidates[0]

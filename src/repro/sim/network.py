@@ -15,7 +15,7 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address, Prefix, PrefixTable
 from repro.net.host import Host
@@ -367,16 +367,6 @@ class Internet:
             return spec
         info = self.prefixes[prefix]
         return AnnouncementSpec.single(info.origin_asn)
-
-    def asn_of_address(self, addr: Address) -> Optional[int]:
-        """Ground-truth AS of an address (owner router or host AS)."""
-        router = self.router_of(addr)
-        if router is not None:
-            return router.asn
-        host = self.hosts.get(addr)
-        if host is not None:
-            return host.asn
-        return None
 
     # ------------------------------------------------------------------
     # Destination resolution

@@ -97,9 +97,6 @@ class AnnouncementSpec:
     def anycast(cls, asns: Iterable[int]) -> "AnnouncementSpec":
         return cls(origins=tuple(Origin(asn) for asn in sorted(asns)))
 
-    def origin_asns(self) -> Tuple[int, ...]:
-        return tuple(origin.asn for origin in self.origins)
-
 
 @dataclass(frozen=True)
 class RouteChoice:

@@ -1,11 +1,11 @@
-"""Tests for the atlas pipeline (sharded build, dedup, refresh, snapshots).
+"""Tests for the atlas pipeline (sharded build, refresh, snapshots).
 
-The acceptance bar for the pipeline is byte-identity: every fast path
-(batched probing, probe dedup, shard-lane accounting, snapshot
-warm-start) must produce exactly the atlases — and exactly the
-downstream reverse-traceroute results — that the plain serial build
-produces.  Forwarding outcomes are pure functions of each probe, so
-these tests can compare dictionaries directly instead of sampling.
+The acceptance bar for the pipeline is byte-identity: shard-lane
+accounting and snapshot warm-starts must produce exactly the atlases —
+and exactly the downstream reverse-traceroute results — that the lazy
+``Scenario`` build produces.  Forwarding outcomes are pure functions of
+each probe, so these tests can compare dictionaries directly instead
+of sampling.
 """
 
 import gzip
@@ -65,30 +65,17 @@ def measure_stream(scenario, source, destinations):
 
 @pytest.fixture(scope="module")
 def serial_world():
-    """Legacy path: serial traceroute build + serial non-dedup RR."""
+    """Lazy path: the scenario's own bundle and RR atlas builds."""
     scenario = fresh_scenario()
     source = scenario.sources()[0]
-    atlas = TracerouteAtlas(source, max_size=ATLAS_SIZE)
-    atlas.build(
-        scenario.background_prober,
-        scenario.atlas_vp_addrs,
-        scenario.bundle_rng(source),
-        size=ATLAS_SIZE,
-    )
-    rr_atlas = RRAtlas(atlas)
-    rr_atlas.build(
-        scenario.background_prober,
-        scenario.spoofer_addrs,
-        dedup=False,
-        batched=False,
-    )
-    scenario.adopt_atlases(source, atlas, rr_atlas)
+    atlas = scenario.bundle(source).atlas
+    rr_atlas = scenario.rr_atlas(source)
     return scenario, source, atlas, rr_atlas
 
 
 @pytest.fixture(scope="module")
 def sharded_world():
-    """Pipeline path: sharded virtual-clock build, dedup + batch on."""
+    """Pipeline path: sharded virtual-clock build."""
     scenario = fresh_scenario()
     source = scenario.sources()[0]
     pipeline = scenario.atlas_pipeline(shards=4)
@@ -117,7 +104,7 @@ class TestLaneSchedule:
 
 
 class TestShardedByteIdentity:
-    """Acceptance criterion: sharded == serial, bytes and downstream."""
+    """Acceptance criterion: sharded == lazy, bytes and downstream."""
 
     def test_atlas_contents_identical(self, serial_world, sharded_world):
         _, _, serial_atlas, _ = serial_world
@@ -130,14 +117,13 @@ class TestShardedByteIdentity:
         _, _, _, serial_rr = serial_world
         _, _, _, sharded_rr, _ = sharded_world
         assert sharded_rr._mapping == serial_rr._mapping
-        # Dedup removes probes without changing the mapping; together
-        # sent + saved must account for every serial-mode probe.
-        assert sharded_rr.probes_sent < serial_rr.probes_sent
+        assert sharded_rr.probes_sent == serial_rr.probes_sent
+        assert sharded_rr.probes_deduped == serial_rr.probes_deduped
+        # One probe ladder per distinct hop address: repeats across
+        # VPs' traceroutes cost no probes, only a tally.
+        stats = sharded_rr.last_build
+        assert stats.units < stats.occurrences
         assert sharded_rr.probes_deduped > 0
-        assert (
-            sharded_rr.probes_sent + sharded_rr.probes_deduped
-            == serial_rr.probes_sent
-        )
 
     def test_downstream_revtr_results_identical(
         self, serial_world, sharded_world
@@ -171,52 +157,17 @@ class TestShardedByteIdentity:
         assert stages["rr"].probes_deduped > 0
 
 
-class TestBatchedSerialEquivalence:
-    """Satellite: batched RR build == serial loop, probe for probe."""
-
-    def test_all_mode_combinations_share_one_mapping(self, serial_world):
+class TestRRBuildAccounting:
+    def test_virtual_seconds_match_clock_advance(self, serial_world):
         scenario, _, atlas, baseline = serial_world
         prober = scenario.background_prober
-        spoofers = scenario.spoofer_addrs
-        builds = {}
-        for dedup in (False, True):
-            for batched in (False, True):
-                rr_atlas = RRAtlas(atlas)
-                rr_atlas.build(
-                    prober, spoofers, dedup=dedup, batched=batched
-                )
-                builds[(dedup, batched)] = rr_atlas
-        for rr_atlas in builds.values():
-            assert rr_atlas._mapping == baseline._mapping
-        # Probe counts depend on dedup only, never on batching.
-        for dedup in (False, True):
-            assert (
-                builds[(dedup, True)].probes_sent
-                == builds[(dedup, False)].probes_sent
-            )
-            assert (
-                builds[(dedup, True)].probes_deduped
-                == builds[(dedup, False)].probes_deduped
-            )
-        assert builds[(False, True)].probes_sent == baseline.probes_sent
-        assert builds[(False, True)].probes_deduped == 0
-
-    def test_batched_clock_advance_matches_serial(self, serial_world):
-        scenario, _, atlas, _ = serial_world
-        prober = scenario.background_prober
-        spoofers = scenario.spoofer_addrs
-        costs = []
-        for batched in (False, True):
-            started = prober.clock.now()
-            rr_atlas = RRAtlas(atlas)
-            rr_atlas.build(
-                prober, spoofers, dedup=True, batched=batched
-            )
-            costs.append(prober.clock.now() - started)
-            assert rr_atlas.last_build.virtual_seconds == pytest.approx(
-                costs[-1]
-            )
-        assert costs[0] == pytest.approx(costs[1])
+        started = prober.clock.now()
+        rr_atlas = RRAtlas(atlas)
+        rr_atlas.build(prober, scenario.spoofer_addrs)
+        assert rr_atlas.last_build.virtual_seconds == pytest.approx(
+            prober.clock.now() - started
+        )
+        assert rr_atlas._mapping == baseline._mapping
 
 
 class TestRRAtlasStaleLookup:
@@ -406,6 +357,17 @@ class TestSnapshotRoundTrip:
             sharded_sc, source, destinations
         ) == measure_stream(warm, source, destinations)
 
+    def test_warm_start_sends_zero_probes(self, sharded_world, tmp_path):
+        sharded_sc, source, atlas, rr_atlas, _ = sharded_world
+        path = str(tmp_path / "atlas.snap")
+        sharded_sc.save_atlases(source, path)
+        warm = fresh_scenario()
+        bundle = warm.load_atlases(source, path)
+        assert warm.rr_atlas(source) is bundle.rr_atlas
+        assert atlas_key(bundle.atlas) == atlas_key(atlas)
+        assert bundle.rr_atlas._mapping == rr_atlas._mapping
+        assert sum(warm.background_counter.counts.values()) == 0
+
     def test_snapshot_bytes_are_deterministic(
         self, sharded_world, tmp_path
     ):
@@ -469,36 +431,6 @@ class TestSnapshotRejection:
             fh.write(b"not a gzip snapshot")
         with pytest.raises(SnapshotError):
             load_snapshot(path, scenario.internet)
-
-
-class TestLoadOrBuild:
-    def test_cold_then_warm(self, tmp_path):
-        path = str(tmp_path / "atlas.snap")
-        cold_sc = fresh_scenario()
-        source = cold_sc.sources()[0]
-        pipeline = cold_sc.atlas_pipeline(shards=4)
-        atlas, rr_atlas, warm = pipeline.load_or_build(
-            path,
-            source,
-            cold_sc.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        assert not warm and len(atlas) > 0
-        warm_sc = fresh_scenario()
-        warm_pipeline = warm_sc.atlas_pipeline(shards=4)
-        atlas2, rr_atlas2, warm2 = warm_pipeline.load_or_build(
-            path,
-            source,
-            warm_sc.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        assert warm2
-        assert atlas_key(atlas2) == atlas_key(atlas)
-        assert rr_atlas2._mapping == rr_atlas._mapping
-        # The warm start sent zero probes.
-        assert sum(warm_sc.background_counter.counts.values()) == 0
 
 
 class TestPipelineObservability:
